@@ -1,11 +1,12 @@
 # Verification targets. `make ci` is the full gate: lint (vet + strict
 # gofmt), build, the whole test suite under the race detector, the
 # randomized fault soak, the distributed-sweep chaos campaign, the fuzz
-# seed corpora (in regression mode), and the golden-file checks.
+# seed corpora (in regression mode), the golden-file checks, and the
+# benchmark module's vet and pinned-digest check.
 
 GO ?= go
 
-.PHONY: all build vet lint test race soak chaos fuzz-regression fuzz bench benchdiff golden-update ci
+.PHONY: all build vet lint test race soak chaos fuzz-regression fuzz bench benchdiff golden-update perfbench-check ci
 
 all: ci
 
@@ -94,9 +95,15 @@ NEW ?= BENCH_pr10.json
 benchdiff:
 	$(GO) run ./tools/benchdiff $(OLD) $(NEW)
 
+# The benchmark (perfbench/) is a Go module of its own, so `go build ./...`
+# never compiles it. Vet it and replay its pinned seed-1 digests, which
+# also catches API changes in the packages it imports.
+perfbench-check:
+	cd perfbench && $(GO) vet . && $(GO) test -count=1 -run TestPinnedDigests .
+
 # Rewrite the golden files after an intended output change.
 golden-update:
 	$(GO) test ./cmd/hmreport/ -update
 	$(GO) test ./internal/workload/ -run TestGeneratorGolden -update
 
-ci: lint build race soak chaos fuzz-regression
+ci: lint build race soak chaos fuzz-regression perfbench-check

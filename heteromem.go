@@ -323,15 +323,6 @@ func InspectCheckpoint(data []byte) (CheckpointInfo, error) {
 // configuration than the one resuming from it.
 var ErrConfigMismatch = sim.ErrConfigMismatch
 
-// RunWindows is Run with a convergence time series: one Result.Windows
-// point per `window` records, so the approach to steady state is visible.
-func (s *System) RunWindows(src Source, maxRecords, window uint64) (Result, error) {
-	cfg := s.cfg
-	cfg.MaxRecords = maxRecords
-	cfg.WindowRecords = window
-	return sim.Run(src, cfg)
-}
-
 // RunWorkload simulates one of the built-in Section IV workloads
 // (see Workloads) with the given seed.
 func (s *System) RunWorkload(name string, seed int64, maxRecords uint64) (Result, error) {

@@ -397,13 +397,6 @@ func (p Params) forEach(ctx context.Context, n, workers int, fn func(i int) erro
 	})
 }
 
-// runTrace runs one (workload, configuration) simulation with telemetry
-// and manifest support: a cell already recorded in the manifest is served
-// from it without simulating; otherwise the workload shows up in /progress
-// while it executes, metrics collection is forced on (under telemetry) so
-// the run's counters can fold into the sweep totals, and a completed run
-// is recorded in the manifest before its result is returned. Without
-// either, it is exactly the plain runTrace.
 // simulate runs one cell: replayed from the driver's shared packed
 // materialization when one is active (and the run is bounded, so the
 // materialization is finite), straight from a fresh generator otherwise.
@@ -418,6 +411,13 @@ func (p Params) simulate(name string, cfg sim.Config) (sim.Result, error) {
 	return runTrace(name, p.seed(), cfg)
 }
 
+// runTrace runs one (workload, configuration) simulation with telemetry
+// and manifest support: a cell already recorded in the manifest is served
+// from it without simulating; otherwise the workload shows up in /progress
+// while it executes, metrics collection is forced on (under telemetry) so
+// the run's counters can fold into the sweep totals, and a completed run
+// is recorded in the manifest before its result is returned. Without
+// either, it is exactly the plain runTrace.
 func (p Params) runTrace(name string, cfg sim.Config) (sim.Result, error) {
 	if p.Channels > 1 {
 		cfg.Channels = p.Channels

@@ -18,7 +18,6 @@ import (
 	"fmt"
 
 	"heteromem/internal/addr"
-	"heteromem/internal/core"
 	"heteromem/internal/fault"
 	"heteromem/internal/obs"
 	"heteromem/internal/power"
@@ -168,8 +167,8 @@ func (h *Hub) Mapping() *addr.Mapping { return h.iv.Mapping() }
 // channel).
 func (h *Hub) HopLatency() int64 { return h.hop }
 
-// Shard exposes channel i's controller (the sim's barrier workers drive
-// shards directly with pre-routed records).
+// Shard exposes channel i's controller (the sim's run loop drives shards
+// directly: a single channel inline, more through pre-routed records).
 func (h *Hub) Shard(i int) *Controller { return h.ctrls[i] }
 
 // Route decodes the channel and shard-local address of a physical address.
@@ -210,15 +209,6 @@ func (h *Hub) Err() error {
 		if err := c.Err(); err != nil {
 			return err
 		}
-	}
-	return nil
-}
-
-// Migrator exposes the migration engine of a single-channel hub; a sharded
-// hub has one migrator per shard (see Shard) and returns nil.
-func (h *Hub) Migrator() *core.Migrator {
-	if h.single != nil {
-		return h.single.Migrator()
 	}
 	return nil
 }

@@ -49,7 +49,6 @@ func ConfigDigest(cfg Config) uint64 {
 	// Channel sharding shapes the state stream; the digest uses the
 	// effective (defaulted) values so equivalent spellings — Channels 0 vs
 	// 1, explicit vs defaulted interleave/hop — resume interchangeably.
-	// BarrierWindow is deliberately excluded: results do not depend on it.
 	ch, il, hop := effectiveSharding(cfg)
 	fmt.Fprintf(h, "|%d|%d|%d", ch, il, hop)
 	// The scheme is appended only when non-default so every pre-scheme
@@ -83,7 +82,7 @@ func effectiveSharding(cfg Config) (channels int, interleave uint64, hop int64) 
 }
 
 // checkpointIncompatible reports which observability feature blocks
-// checkpointing, if any. Observability rings and window series are
+// checkpointing, if any. Observability registries and rings are
 // deliberately not serialized (they are diagnostic, unbounded, and not part
 // of the equivalence contract), so a checkpointed run must not collect them.
 func checkpointIncompatible(cfg Config) error {
@@ -96,17 +95,13 @@ func checkpointIncompatible(cfg Config) error {
 		return fmt.Errorf("sim: checkpointing is incompatible with SpanTrace collection")
 	case cfg.EpochSeries > 0:
 		return fmt.Errorf("sim: checkpointing is incompatible with EpochSeries collection")
-	case cfg.WindowRecords > 0:
-		return fmt.Errorf("sim: checkpointing is incompatible with WindowRecords collection")
 	}
 	return nil
 }
 
-// takeCheckpoint serializes the run state after n completed records. A
-// single-channel hub writes the same "ctrl" section as always (checkpoint
-// bytes are unchanged by the hub layer); a sharded hub writes one
-// "ctrl<i>" section per channel, in channel order, so InspectCheckpoint
-// shows the per-channel layout.
+// takeCheckpoint serializes the run state after n completed records, with
+// one controller section per channel in channel order (see ctrlSection),
+// so InspectCheckpoint shows the per-channel layout.
 func takeCheckpoint(cfg Config, src trace.Source, hub *memctrl.Hub, n uint64) ([]byte, error) {
 	e := snap.NewEncoder()
 	e.Section("meta")
@@ -124,16 +119,21 @@ func takeCheckpoint(cfg Config, src trace.Source, hub *memctrl.Hub, n uint64) ([
 	default:
 		return nil, fmt.Errorf("%w (%T)", ErrSourceNotCheckpointable, src)
 	}
-	if hub.Channels() == 1 {
-		e.Section("ctrl")
-		hub.Shard(0).SnapshotTo(e)
-	} else {
-		for i := 0; i < hub.Channels(); i++ {
-			e.Section(fmt.Sprintf("ctrl%d", i))
-			hub.Shard(i).SnapshotTo(e)
-		}
+	for i := 0; i < hub.Channels(); i++ {
+		e.Section(ctrlSection(hub, i))
+		hub.Shard(i).SnapshotTo(e)
 	}
 	return e.Finish()
+}
+
+// ctrlSection names channel i's checkpoint section: "ctrl" for a single
+// channel, so its checkpoints keep the layout they had before sharding and
+// still resume, and "ctrl<i>" for each channel of a sharded hub.
+func ctrlSection(hub *memctrl.Hub, i int) string {
+	if hub.Channels() == 1 {
+		return "ctrl"
+	}
+	return fmt.Sprintf("ctrl%d", i)
 }
 
 // restoreCheckpoint rebuilds the run state from a checkpoint, returning the
@@ -183,21 +183,12 @@ func restoreCheckpoint(cfg Config, src trace.Source, hub *memctrl.Hub, data []by
 		d.Invalid("unknown source kind %d", kind)
 		return 0, d.Err()
 	}
-	if hub.Channels() == 1 {
-		if err := d.Section("ctrl"); err != nil {
+	for i := 0; i < hub.Channels(); i++ {
+		if err := d.Section(ctrlSection(hub, i)); err != nil {
 			return 0, err
 		}
-		if err := hub.Shard(0).RestoreFrom(d); err != nil {
+		if err := hub.Shard(i).RestoreFrom(d); err != nil {
 			return 0, err
-		}
-	} else {
-		for i := 0; i < hub.Channels(); i++ {
-			if err := d.Section(fmt.Sprintf("ctrl%d", i)); err != nil {
-				return 0, err
-			}
-			if err := hub.Shard(i).RestoreFrom(d); err != nil {
-				return 0, err
-			}
 		}
 	}
 	return n, d.Err()

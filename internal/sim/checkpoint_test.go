@@ -2,9 +2,11 @@ package sim
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"heteromem/internal/core"
@@ -316,13 +318,60 @@ func TestResumeRejectsCorruption(t *testing.T) {
 	})
 }
 
+// TestCheckpointRejectsObservability: observability collectors are not
+// serialized, so a checkpointed run refuses each of them, on one channel
+// and sharded alike.
 func TestCheckpointRejectsObservability(t *testing.T) {
-	cfg := equivConfig(core.DesignN1, false)
-	cfg.Metrics = true
-	cfg.CheckpointEvery = 1_000
-	cfg.CheckpointSink = func([]byte, uint64) error { return nil }
-	if _, err := Run(equivSource(t), cfg); err == nil {
-		t.Fatal("checkpointing with Metrics should be rejected")
+	for _, tc := range []struct {
+		name   string
+		enable func(*Config)
+	}{
+		{"Metrics", func(c *Config) { c.Metrics = true }},
+		{"EventTrace", func(c *Config) { c.EventTrace = 64 }},
+		{"SpanTrace", func(c *Config) { c.SpanTrace = 64 }},
+		{"EpochSeries", func(c *Config) { c.EpochSeries = 64 }},
+	} {
+		for _, channels := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%s/c%d", tc.name, channels), func(t *testing.T) {
+				cfg := equivConfig(core.DesignN1, false)
+				cfg.Channels = channels
+				cfg.CheckpointEvery = 1_000
+				cfg.CheckpointSink = func([]byte, uint64) error { return nil }
+				tc.enable(&cfg)
+				_, err := Run(equivSource(t), cfg)
+				if err == nil || !strings.Contains(err.Error(), tc.name) {
+					t.Fatalf("err = %v, want a rejection naming %s", err, tc.name)
+				}
+			})
+		}
+	}
+}
+
+// TestCancelPolledAtCheckpoints: the run loop polls its context at every
+// checkpoint boundary, not only every cancelStride records, for every
+// channel count. A sink that cancels at the first checkpoint must see no
+// second one.
+func TestCancelPolledAtCheckpoints(t *testing.T) {
+	for _, channels := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("c%d", channels), func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			cfg := equivConfig(core.DesignLive, false)
+			cfg.Channels = channels
+			cfg.CheckpointEvery = 1_000
+			var taken []uint64
+			cfg.CheckpointSink = func(_ []byte, n uint64) error {
+				taken = append(taken, n)
+				cancel()
+				return nil
+			}
+			if _, err := RunContext(ctx, equivSource(t), cfg); !errors.Is(err, context.Canceled) {
+				t.Fatalf("err = %v, want context.Canceled", err)
+			}
+			if len(taken) != 1 {
+				t.Fatalf("checkpoints at records %v, want only the first before the cancel took effect", taken)
+			}
+		})
 	}
 }
 

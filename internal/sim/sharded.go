@@ -1,7 +1,7 @@
-// The sharded run path: with Config.Channels > 1 the physical address space
-// stripes across per-channel controllers (memctrl.Hub) and the simulation
-// executes in parallel — one goroutine per channel — under an epoch-aligned
-// cycle barrier.
+// The sharded half of the run loop: with Config.Channels > 1 the physical
+// address space stripes across per-channel controllers (memctrl.Hub) and
+// the simulation executes in parallel — one worker goroutine per channel —
+// under an epoch-aligned cycle barrier.
 //
 // Determinism argument. Shards share no mutable state: migration is
 // shard-local (the interleave granularity is a multiple of the macro page
@@ -16,21 +16,15 @@
 package sim
 
 import (
-	"context"
-	"errors"
 	"fmt"
-	"io"
 	"sync"
 
-	"heteromem/internal/config"
 	"heteromem/internal/memctrl"
-	"heteromem/internal/obs"
-	"heteromem/internal/power"
 	"heteromem/internal/trace"
 )
 
-// defaultBarrierWindow is the lockstep epoch, in trace cycles, when
-// Config.BarrierWindow is zero. It only needs to be no smaller than the
+// defaultBarrierWindow is the lockstep epoch, in trace cycles, unless a
+// test picks the window. It only needs to be no smaller than the
 // minimum cross-channel latency (the hop) for the lockstep reading of the
 // barrier to hold; beyond that it purely trades barrier overhead against
 // batch size.
@@ -44,250 +38,114 @@ type shardAccess struct {
 	write bool
 }
 
-// runSharded executes cfg over src with one goroutine per channel under the
-// cycle barrier. See the package comment above for the determinism argument.
-// ctx is polled in the feeder loop every cancelStride records, mirroring the
-// single-channel path.
-func runSharded(ctx context.Context, src trace.Source, cfg Config) (Result, error) {
-	if cfg.WindowRecords > 0 {
-		return Result{}, fmt.Errorf("sim: WindowRecords is not supported with Channels > 1 (completion interleaving across channels has no global window order)")
-	}
-	if cfg.CheckpointEvery > 0 || cfg.Resume != nil {
-		if err := checkpointIncompatible(cfg); err != nil {
-			return Result{}, err
-		}
-	}
-	mcfg := memctrl.Config{
-		Geometry:   cfg.Geometry,
-		Latencies:  cfg.Latencies,
-		OffTiming:  cfg.OffTiming,
-		OnTiming:   cfg.OnTiming,
-		Migration:  cfg.Migration,
-		Scheme:     cfg.Scheme,
-		OSAssisted: cfg.OSAssisted,
-		Sched:      cfg.Sched,
-		Audit:      cfg.Audit,
-		Fault:      cfg.Fault,
-	}
-	n := cfg.Channels
-	hubCfg := memctrl.HubConfig{
-		Channels:   n,
-		Interleave: cfg.InterleaveBytes,
-		HopLatency: cfg.HopLatency,
-	}
-	var regs []*obs.Registry
-	if cfg.Metrics || cfg.EventTrace > 0 || cfg.SpanTrace > 0 || cfg.EpochSeries > 0 {
-		regs = make([]*obs.Registry, n)
-		for i := range regs {
-			reg := obs.NewRegistry()
-			if cfg.EventTrace > 0 {
-				reg.EnableEvents(cfg.EventTrace)
-			}
-			if cfg.SpanTrace > 0 {
-				reg.EnableSpans(cfg.SpanTrace)
-			}
-			if cfg.EpochSeries > 0 {
-				reg.EnableSeries(cfg.EpochSeries)
-			}
-			regs[i] = reg
-		}
-		hubCfg.ShardObs = regs
-	}
-	var meters []*power.Meter
-	if cfg.MeterPower {
-		meters = make([]*power.Meter, n)
-		for i := range meters {
-			meters[i] = power.NewMeter(config.PaperPower())
-		}
-		hubCfg.ShardPower = meters
-	}
-	hub, err := memctrl.NewHub(mcfg, hubCfg, nil)
-	if err != nil {
-		return Result{}, err
-	}
+// shardWorkers runs each shard of a sharded hub on its own goroutine. The
+// run loop's goroutine is the feeder: it pre-routes records into
+// per-channel batches and hands them over at barrier-epoch boundaries (see
+// feed and drain). Each worker owns its controller between handovers.
+type shardWorkers struct {
+	hub     *memctrl.Hub
+	window  int64                // barrier epoch, in trace cycles
+	work    []chan []shardAccess // one queue per worker
+	errs    []error              // each worker's first access error
+	batches [][]shardAccess      // routed records awaiting handover
+	pending int                  // records across batches
+	epoch   int64                // barrier epoch of the last routed record
 
-	window := cfg.BarrierWindow
+	// barrier counts one Done per worker per handover, exited one per
+	// worker when its queue closes.
+	barrier, exited sync.WaitGroup
+}
+
+// startShardWorkers starts one worker per shard of hub. window is the
+// barrier epoch in trace cycles (0 = the default, at least the hop). The
+// caller must stop the workers on every return path.
+func startShardWorkers(hub *memctrl.Hub, window int64) *shardWorkers {
 	if window <= 0 {
-		window = defaultBarrierWindow
-		if h := hub.HopLatency(); h > window {
-			window = h
-		}
+		window = max(defaultBarrierWindow, hub.HopLatency())
 	}
+	n := hub.Channels()
+	w := &shardWorkers{
+		hub:     hub,
+		window:  window,
+		work:    make([]chan []shardAccess, n),
+		errs:    make([]error, n),
+		batches: make([][]shardAccess, n),
+	}
+	w.exited.Add(n)
+	for i := range w.work {
+		w.work[i] = make(chan []shardAccess, 1)
+		go w.run(i)
+	}
+	return w
+}
 
-	// One worker goroutine per shard; each owns its controller exclusively.
-	// Batches are handed over at barrier boundaries and the WaitGroup is
-	// both the barrier and the memory fence: wg.Wait() happens-after every
-	// worker's writes, so the feeder may reuse batch slices and read errs.
-	work := make([]chan []shardAccess, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		in := make(chan []shardAccess, 1)
-		work[i] = in
-		go func(i int, ctrl *memctrl.Controller, in <-chan []shardAccess) {
-			for batch := range in {
-				if errs[i] == nil {
-					for _, a := range batch {
-						if err := ctrl.Access(a.local, a.write, a.cycle); err != nil {
-							errs[i] = err
-							break
-						}
-					}
+// run is shard i's worker loop: apply each handed-over batch in order,
+// latching the first access error, and check in at the barrier.
+func (w *shardWorkers) run(i int) {
+	defer w.exited.Done()
+	ctrl := w.hub.Shard(i)
+	for batch := range w.work[i] {
+		if w.errs[i] == nil {
+			for _, a := range batch {
+				if err := ctrl.Access(a.local, a.write, a.cycle); err != nil {
+					w.errs[i] = err
+					break
 				}
-				wg.Done()
-			}
-		}(i, hub.Shard(i), in)
-	}
-	workersOpen := true
-	closeWorkers := func() {
-		if workersOpen {
-			workersOpen = false
-			for _, in := range work {
-				close(in)
 			}
 		}
+		w.barrier.Done()
 	}
-	defer closeWorkers()
+}
 
-	batches := make([][]shardAccess, n)
-	pending := 0
-	dispatch := func() error {
-		if pending == 0 {
-			return nil
-		}
-		wg.Add(n)
-		for i := 0; i < n; i++ {
-			work[i] <- batches[i]
-		}
-		wg.Wait()
-		for i := 0; i < n; i++ {
-			if errs[i] != nil {
-				return fmt.Errorf("sim: channel %d: %w", i, errs[i])
+// feed routes records [0, k) of b to their channels' batches. Barrier-epoch
+// handovers happen per record, because they depend on trace cycles, not
+// record counts: all shards drain one window before any shard sees the
+// next.
+func (w *shardWorkers) feed(b *trace.Batch, k int) error {
+	for j := 0; j < k; j++ {
+		cycle := int64(b.Cycle[j])
+		if epoch := cycle / w.window; epoch != w.epoch {
+			if err := w.drain(); err != nil {
+				return err
 			}
-			batches[i] = batches[i][:0]
+			w.epoch = epoch
 		}
-		pending = 0
+		ch, local := w.hub.Route(b.Addr[j])
+		w.batches[ch] = append(w.batches[ch], shardAccess{local: local, cycle: cycle, write: b.Write[j]})
+		w.pending++
+	}
+	return nil
+}
+
+// drain hands every pending batch to its worker and waits at the barrier.
+// The WaitGroup is both the barrier and the memory fence: Wait happens
+// after every worker's writes, so the feeder may then reuse the batch
+// slices, read errs, and touch the shards itself. A nil receiver — a
+// single channel, driven inline — has nothing to drain.
+func (w *shardWorkers) drain() error {
+	if w == nil || w.pending == 0 {
 		return nil
 	}
+	w.barrier.Add(len(w.work))
+	for i, in := range w.work {
+		in <- w.batches[i]
+	}
+	w.barrier.Wait()
+	for i, err := range w.errs {
+		if err != nil {
+			return fmt.Errorf("sim: channel %d: %w", i, err)
+		}
+		w.batches[i] = w.batches[i][:0]
+	}
+	w.pending = 0
+	return nil
+}
 
-	var done uint64
-	if cfg.Resume != nil {
-		if done, err = restoreCheckpoint(cfg, src, hub, cfg.Resume); err != nil {
-			return Result{}, err
-		}
+// stop closes the workers' queues and waits until every worker has exited,
+// so no worker outlives the run or keeps its shard reachable.
+func (w *shardWorkers) stop() {
+	for _, in := range w.work {
+		close(in)
 	}
-	// The feeder reads batches split at the same semantic boundaries as the
-	// single-channel loop (see batchBoundary) and routes each whole batch
-	// across the per-channel queues; barrier-epoch dispatches still happen
-	// per record inside the batch, because they depend on trace cycles, not
-	// record counts.
-	var curEpoch int64
-	started := false
-	var recs trace.Batch
-	for cfg.MaxRecords == 0 || done < cfg.MaxRecords {
-		if done%cancelStride == 0 {
-			if err := ctx.Err(); err != nil {
-				return Result{}, fmt.Errorf("sim: cancelled at record %d: %w", done, err)
-			}
-		}
-		want := batchBoundary(&cfg, done)
-		recs.Resize(int(want))
-		k, rerr := trace.ReadBatch(src, &recs)
-		for j := 0; j < k; j++ {
-			cycle := int64(recs.Cycle[j])
-			// Barrier epoch boundary: all shards drain the previous window
-			// before any shard sees the next one.
-			epoch := cycle / window
-			if started && epoch != curEpoch {
-				if err := dispatch(); err != nil {
-					return Result{}, err
-				}
-			}
-			curEpoch, started = epoch, true
-			ch, local := hub.Route(recs.Addr[j])
-			batches[ch] = append(batches[ch], shardAccess{local: local, cycle: cycle, write: recs.Write[j]})
-			pending++
-		}
-		done += uint64(k)
-		if cfg.Warmup > 0 && done == cfg.Warmup && k > 0 {
-			// Drain so the reset lands after exactly Warmup records on
-			// every shard, matching the single-channel path.
-			if err := dispatch(); err != nil {
-				return Result{}, err
-			}
-			hub.ResetStats()
-		}
-		if cfg.CheckpointEvery > 0 && cfg.CheckpointSink != nil && k > 0 && done%cfg.CheckpointEvery == 0 {
-			if err := dispatch(); err != nil {
-				return Result{}, err
-			}
-			data, err := takeCheckpoint(cfg, src, hub, done)
-			if err != nil {
-				return Result{}, fmt.Errorf("sim: checkpoint at record %d: %w", done, err)
-			}
-			if err := cfg.CheckpointSink(data, done); err != nil {
-				return Result{}, fmt.Errorf("sim: checkpoint sink at record %d: %w", done, err)
-			}
-		}
-		if errors.Is(rerr, io.EOF) {
-			break
-		}
-		if rerr != nil {
-			return Result{}, fmt.Errorf("sim: reading trace record %d: %w", done, rerr)
-		}
-		if k == 0 {
-			return Result{}, fmt.Errorf("sim: reading trace record %d: %w", done, io.ErrNoProgress)
-		}
-	}
-	if err := dispatch(); err != nil {
-		return Result{}, err
-	}
-	closeWorkers()
-	last := hub.Flush()
-	if err := hub.Err(); err != nil {
-		return Result{}, fmt.Errorf("sim: %w", err)
-	}
-
-	var res Result
-	if regs != nil {
-		hub.PublishObs()
-		// Shards fold in fixed channel order, so the merged snapshot and
-		// the concatenated rings are identical regardless of which shard's
-		// goroutine finished first.
-		snaps := make([]*obs.Snapshot, n)
-		for i, reg := range regs {
-			snaps[i] = reg.Snapshot()
-		}
-		res.Metrics = obs.MergeSnapshots(snaps...)
-		for _, reg := range regs {
-			if ring := reg.Events(); ring != nil {
-				res.Events = append(res.Events, ring.Events()...)
-				res.EventsTotal += ring.Total()
-				res.EventsDropped += ring.Dropped()
-			}
-			if tr := reg.Spans(); tr != nil {
-				res.Spans = append(res.Spans, tr.Spans()...)
-				res.SpansDropped += tr.Dropped()
-			}
-			if ser := reg.Series(); ser != nil {
-				res.Series = append(res.Series, ser.Samples()...)
-				res.SeriesDropped += ser.Dropped()
-			}
-		}
-	}
-	res.Report = hub.Report()
-	res.Faults = res.Report.Faults
-	res.Records = done
-	res.LastCycle = last
-	res.MeanLatency = res.Report.All.Mean()
-	res.MeanDRAMLatency = res.Report.DRAMAll.Mean()
-	if meters != nil {
-		total := power.NewMeter(config.PaperPower())
-		for _, m := range meters {
-			total.Merge(m)
-		}
-		res.EnergyPJ = total.EnergyPJ()
-		res.NormalizedPower = total.Normalized()
-	}
-	return res, nil
+	w.exited.Wait()
 }

@@ -2,11 +2,13 @@ package sim
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
+	"runtime/pprof"
 	"strings"
 	"testing"
 
@@ -178,18 +180,16 @@ func TestShardedBarrierWindowInvariance(t *testing.T) {
 		return canonical(t, res)
 	}()
 	for _, window := range []int64{1, 64, 100_000, 1 << 30} {
-		cfg := base
-		cfg.BarrierWindow = window
 		gen, err := workload.NewMemory("pgbench", 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Run(gen, cfg)
+		res, err := simulate(context.Background(), gen, base, window)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got := canonical(t, res); !bytes.Equal(got, want) {
-			t.Fatalf("BarrierWindow=%d diverged from the default window", window)
+			t.Fatalf("barrier window %d diverged from the default window", window)
 		}
 	}
 }
@@ -226,17 +226,6 @@ func TestShardedCheckpointSections(t *testing.T) {
 	}
 }
 
-// TestShardedRejectsWindowRecords: the convergence window series has no
-// global completion order across channels, so a sharded run refuses it
-// rather than emitting schedule-dependent output.
-func TestShardedRejectsWindowRecords(t *testing.T) {
-	cfg := shardedConfig(2, core.DesignLive, false)
-	cfg.WindowRecords = 1_000
-	if _, err := Run(equivSource(t), cfg); err == nil {
-		t.Fatal("WindowRecords with Channels > 1 should be rejected")
-	}
-}
-
 // TestShardedRejectsBadLayouts covers the hub's validation: non-power-of-two
 // channel counts, interleaves that split a macro page, and capacities that
 // do not divide into whole stripes.
@@ -261,4 +250,93 @@ func TestShardedRejectsBadLayouts(t *testing.T) {
 			t.Fatal("on-package capacity of half a stripe should be rejected")
 		}
 	})
+}
+
+// TestRunJoinsShardWorkers pins that every return path of a sharded run —
+// success, source error, cancellation, checkpoint-sink error — joins its
+// shard workers: the count of Run's goroutines right after it returns
+// equals the count before it was called, with no sleep or poll. Two things
+// make the count exact. Run executes under a pprof label its goroutines
+// inherit, so goroutines of other tests and the runtime's finalizer
+// goroutine, which come and go on their own, are not counted. And the test
+// runs on one P, so goroutines take turns: a worker that signals its exit
+// keeps the P until it is gone, while a worker that was only told to exit
+// has not run yet when Run returns.
+func TestRunJoinsShardWorkers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	errSink := errors.New("sink refused")
+	paths := []struct {
+		name string
+		run  func(cfg Config) error
+	}{
+		{"success", func(cfg Config) error {
+			_, err := Run(equivSource(t), cfg)
+			return err
+		}},
+		{"source-error", func(cfg Config) error {
+			if _, err := Run(&failingSource{}, cfg); !errors.Is(err, errInjected) {
+				return fmt.Errorf("err = %v, want the injected source failure", err)
+			}
+			return nil
+		}},
+		{"cancelled", func(cfg Config) error {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			cfg.CheckpointEvery = 1_000
+			cfg.CheckpointSink = func([]byte, uint64) error { cancel(); return nil }
+			if _, err := RunContext(ctx, equivSource(t), cfg); !errors.Is(err, context.Canceled) {
+				return fmt.Errorf("err = %v, want context.Canceled", err)
+			}
+			return nil
+		}},
+		{"sink-error", func(cfg Config) error {
+			cfg.CheckpointEvery = 1_000
+			cfg.CheckpointSink = func([]byte, uint64) error { return errSink }
+			if _, err := Run(equivSource(t), cfg); !errors.Is(err, errSink) {
+				return fmt.Errorf("err = %v, want the sink's error", err)
+			}
+			return nil
+		}},
+	}
+	for _, channels := range []int{2, 4} {
+		for _, p := range paths {
+			name := fmt.Sprintf("c%d/%s", channels, p.name)
+			t.Run(name, func(t *testing.T) {
+				cfg := equivConfig(core.DesignLive, false)
+				cfg.Channels = channels
+				before := labeledGoroutines(t, name)
+				var err error
+				pprof.Do(context.Background(), pprof.Labels("run", name), func(context.Context) {
+					err = p.run(cfg)
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if after := labeledGoroutines(t, name); after != before {
+					t.Fatalf("%d of Run's goroutines alive after it returned, %d before: shard workers not joined", after, before)
+				}
+			})
+		}
+	}
+}
+
+// labeledGoroutines counts the live goroutines carrying the pprof label
+// run=id, read from the goroutine profile: each stack group there opens
+// with its goroutine count, followed by the group's labels.
+func labeledGoroutines(t *testing.T, id string) int {
+	t.Helper()
+	var b strings.Builder
+	if err := pprof.Lookup("goroutine").WriteTo(&b, 1); err != nil {
+		t.Fatal(err)
+	}
+	total, group := 0, 0
+	for _, line := range strings.Split(b.String(), "\n") {
+		if _, err := fmt.Sscanf(line, "%d @", &group); err == nil {
+			continue
+		}
+		if strings.HasPrefix(line, "# labels:") && strings.Contains(line, `"run":"`+id+`"`) {
+			total += group
+		}
+	}
+	return total
 }

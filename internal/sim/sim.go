@@ -7,6 +7,11 @@
 // timestamps come from the trace; memory latency does not throttle the
 // request stream. That matches "trace-based simulation makes it practical
 // to process trillions of main memory accesses".
+//
+// One run loop serves every channel count: it reads the trace in batches
+// cut at the run's semantic boundaries (see batchBoundary) and drives a
+// single channel inline on the caller's goroutine, or more channels on one
+// worker goroutine each under a cycle barrier (see shardWorkers).
 package sim
 
 import (
@@ -49,9 +54,9 @@ type Config struct {
 	// Channels shards the controller: the physical space stripes across
 	// this many per-channel controllers behind a hub (internal/memctrl),
 	// and the run executes deterministically in parallel — one goroutine
-	// per channel under a cycle-barrier (see runSharded). 0 and 1 both mean
-	// the classic single controller; values > 1 must be powers of two and
-	// divide both capacities into whole-stripe shards.
+	// per channel under a cycle barrier (see shardWorkers). 0 and 1 both
+	// mean the classic single controller; values > 1 must be powers of two
+	// and divide both capacities into whole-stripe shards.
 	Channels int
 
 	// InterleaveBytes is the channel-striping granularity (0 = the macro
@@ -61,13 +66,6 @@ type Config struct {
 	// HopLatency is the cross-channel interconnect hop in cycles charged
 	// on swap copy legs of a sharded run (0 = memctrl.DefaultHopLatency).
 	HopLatency int64
-
-	// BarrierWindow is the lockstep window of the sharded run, in trace
-	// cycles per barrier epoch (0 = a default sized no smaller than the
-	// minimum cross-channel latency). Results never depend on it — shards
-	// only interact at hop latency and migration is shard-local — so it
-	// trades barrier overhead against scheduling skew only.
-	BarrierWindow int64
 
 	// Sched tunes the per-region transaction schedulers (ablations).
 	Sched sched.Config
@@ -81,11 +79,6 @@ type Config struct {
 	// Warmup discards statistics for the first Warmup records so reported
 	// numbers reflect the steady state after the hot set has migrated.
 	Warmup uint64
-
-	// WindowRecords, when positive, collects a latency/routing time series
-	// with one point per that many records (including warmup), so migration
-	// convergence can be observed. See Result.Windows.
-	WindowRecords uint64
 
 	// Metrics enables the observability registry: counters, gauges, and
 	// latency histograms collected across the whole pipeline and returned
@@ -127,7 +120,7 @@ type Config struct {
 	// every that many records and hands it to CheckpointSink. A run resumed
 	// from any such checkpoint produces a Result identical to the
 	// uninterrupted run. Incompatible with the observability collectors
-	// (Metrics, EventTrace, SpanTrace, EpochSeries, WindowRecords).
+	// (Metrics, EventTrace, SpanTrace, EpochSeries).
 	CheckpointEvery uint64
 
 	// CheckpointSink receives each checkpoint (the encoded snapshot and the
@@ -170,10 +163,6 @@ type Result struct {
 	EnergyPJ        float64
 	NormalizedPower float64
 
-	// Windows is the convergence time series (empty unless
-	// Config.WindowRecords was set).
-	Windows []Window
-
 	// Metrics is the observability snapshot (nil unless Config.Metrics or
 	// Config.EventTrace was set).
 	Metrics *obs.Snapshot `json:",omitempty"`
@@ -203,14 +192,6 @@ type Result struct {
 	// and the disposition of each (retried, rolled back, retired,
 	// degraded). Nil unless Config.Fault enabled injection.
 	Faults *fault.Report `json:",omitempty"`
-}
-
-// Window is one point of the convergence time series.
-type Window struct {
-	Records     uint64  // records completed in this window
-	MeanLatency float64 // mean end-to-end latency in the window
-	OnShare     float64 // fraction routed on-package
-	SwapsSoFar  uint64  // cumulative completed swaps at window end
 }
 
 // cancelStride is how many records pass between cooperative cancellation
@@ -247,27 +228,49 @@ func batchBoundary(cfg *Config, n uint64) uint64 {
 
 // Run simulates src through a controller built from cfg. With
 // cfg.Channels > 1 the run shards across per-channel controllers and
-// executes deterministically in parallel; the single-channel path below
-// still goes through the (delegating) hub so the two share one entry point.
+// executes deterministically in parallel; one channel runs inline. Both go
+// through the same loop and the same hub.
 func Run(src trace.Source, cfg Config) (Result, error) {
 	return RunContext(context.Background(), src, cfg)
 }
 
 // RunContext is Run with cooperative cancellation: ctx is polled every
-// cancelStride records (and at every checkpoint boundary), and a cancelled
+// cancelStride records and at every checkpoint boundary, and a cancelled
 // run returns ctx.Err() without flushing. Simulated results are unaffected
 // by when — or whether — the context machinery observes the run, so Run
-// and RunContext with an inert context are byte-identical.
+// and RunContext with an inert context are byte-identical. Every return
+// path waits for the shard workers of a sharded run to exit.
 func RunContext(ctx context.Context, src trace.Source, cfg Config) (Result, error) {
+	return simulate(ctx, src, cfg, 0)
+}
+
+// simulate is RunContext with the barrier window of a sharded run as a
+// parameter, in trace cycles per barrier epoch (0 = defaultBarrierWindow or
+// the hop latency, whichever is larger). Results never depend on it, so
+// only tests choose it.
+func simulate(ctx context.Context, src trace.Source, cfg Config, window int64) (Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
-	}
-	if cfg.Channels > 1 {
-		return runSharded(ctx, src, cfg)
 	}
 	if cfg.CheckpointEvery > 0 || cfg.Resume != nil {
 		if err := checkpointIncompatible(cfg); err != nil {
 			return Result{}, err
+		}
+	}
+	n := max(cfg.Channels, 1)
+	observed := cfg.Metrics || cfg.EventTrace > 0 || cfg.SpanTrace > 0 || cfg.EpochSeries > 0
+	regs := make([]*obs.Registry, n)
+	meters := make([]*power.Meter, n)
+	for i := 0; i < n; i++ {
+		if observed {
+			// Each Enable is a no-op for a non-positive capacity.
+			regs[i] = obs.NewRegistry()
+			regs[i].EnableEvents(cfg.EventTrace)
+			regs[i].EnableSpans(cfg.SpanTrace)
+			regs[i].EnableSeries(cfg.EpochSeries)
+		}
+		if cfg.MeterPower {
+			meters[i] = power.NewMeter(config.PaperPower())
 		}
 	}
 	mcfg := memctrl.Config{
@@ -282,140 +285,136 @@ func RunContext(ctx context.Context, src trace.Source, cfg Config) (Result, erro
 		Audit:      cfg.Audit,
 		Fault:      cfg.Fault,
 	}
-	var reg *obs.Registry
-	if cfg.Metrics || cfg.EventTrace > 0 || cfg.SpanTrace > 0 || cfg.EpochSeries > 0 {
-		reg = obs.NewRegistry()
-		if cfg.EventTrace > 0 {
-			reg.EnableEvents(cfg.EventTrace)
-		}
-		if cfg.SpanTrace > 0 {
-			reg.EnableSpans(cfg.SpanTrace)
-		}
-		if cfg.EpochSeries > 0 {
-			reg.EnableSeries(cfg.EpochSeries)
-		}
-		mcfg.Obs = reg
+	hubCfg := memctrl.HubConfig{Channels: n, Interleave: cfg.InterleaveBytes, HopLatency: cfg.HopLatency}
+	if n == 1 {
+		// A single-channel hub is a bare controller and takes its
+		// instruments from the controller config.
+		mcfg.Obs, mcfg.Power = regs[0], meters[0]
+	} else {
+		hubCfg.ShardObs, hubCfg.ShardPower = regs, meters
 	}
-	var meter *power.Meter
-	if cfg.MeterPower {
-		meter = power.NewMeter(config.PaperPower())
-		mcfg.Power = meter
-	}
-	var res Result
-	var ctrl *memctrl.Hub
-	var onDone func(memctrl.AccessResult)
-	if cfg.WindowRecords > 0 {
-		var win struct {
-			n, on  uint64
-			sumLat int64
-		}
-		onDone = func(r memctrl.AccessResult) {
-			win.n++
-			win.sumLat += r.Done - r.Issue
-			if r.Region == memctrl.OnPackage {
-				win.on++
-			}
-			if win.n >= cfg.WindowRecords {
-				w := Window{
-					Records:     win.n,
-					OnShare:     float64(win.on) / float64(win.n),
-					MeanLatency: float64(win.sumLat) / float64(win.n),
-				}
-				if m := ctrl.Migrator(); m != nil {
-					w.SwapsSoFar = m.Stats().SwapsCompleted
-				}
-				res.Windows = append(res.Windows, w)
-				win.n, win.on, win.sumLat = 0, 0, 0
-			}
-		}
-	}
-	ctrl, err := memctrl.NewHub(mcfg, memctrl.HubConfig{Channels: 1}, onDone)
+	hub, err := memctrl.NewHub(mcfg, hubCfg, nil)
 	if err != nil {
 		return Result{}, err
 	}
 
-	var n uint64
+	var done uint64
 	if cfg.Resume != nil {
-		if n, err = restoreCheckpoint(cfg, src, ctrl, cfg.Resume); err != nil {
+		if done, err = restoreCheckpoint(cfg, src, hub, cfg.Resume); err != nil {
 			return Result{}, err
 		}
 	}
+	inline := hub.Shard(0)
+	var workers *shardWorkers
+	if n > 1 {
+		workers = startShardWorkers(hub, window)
+		defer workers.stop()
+	}
 	// Records stream through in batches sized to the next semantic boundary
 	// (cancel stride, warmup edge, checkpoint edge, MaxRecords), so every
-	// per-record check of the old loop hoists to a batch edge while firing
-	// at exactly the same record counts — semantics are bit-identical.
-	var batch trace.Batch
-	for cfg.MaxRecords == 0 || n < cfg.MaxRecords {
-		if n%cancelStride == 0 {
+	// per-record check hoists to a batch edge while firing at exactly the
+	// record counts a per-record loop would — semantics are bit-identical.
+	var recs trace.Batch
+	for cfg.MaxRecords == 0 || done < cfg.MaxRecords {
+		if done%cancelStride == 0 {
 			if err := ctx.Err(); err != nil {
-				return Result{}, fmt.Errorf("sim: cancelled at record %d: %w", n, err)
+				return Result{}, fmt.Errorf("sim: cancelled at record %d: %w", done, err)
 			}
 		}
-		want := batchBoundary(&cfg, n)
-		batch.Resize(int(want))
-		k, rerr := trace.ReadBatch(src, &batch)
-		for j := 0; j < k; j++ {
-			if err := ctrl.Access(batch.Addr[j], batch.Write[j], int64(batch.Cycle[j])); err != nil {
-				return Result{}, fmt.Errorf("sim: access %d: %w", n+uint64(j), err)
+		recs.Resize(int(batchBoundary(&cfg, done)))
+		k, rerr := trace.ReadBatch(src, &recs)
+		if workers == nil {
+			for j := 0; j < k; j++ {
+				if err := inline.Access(recs.Addr[j], recs.Write[j], int64(recs.Cycle[j])); err != nil {
+					return Result{}, fmt.Errorf("sim: access %d: %w", done+uint64(j), err)
+				}
 			}
+		} else if err := workers.feed(&recs, k); err != nil {
+			return Result{}, err
 		}
-		n += uint64(k)
-		if cfg.Warmup > 0 && n == cfg.Warmup && k > 0 {
-			ctrl.ResetStats()
+		done += uint64(k)
+		if cfg.Warmup > 0 && done == cfg.Warmup && k > 0 {
+			// Drain so the reset lands after exactly Warmup records on
+			// every shard.
+			if err := workers.drain(); err != nil {
+				return Result{}, err
+			}
+			hub.ResetStats()
 		}
-		if cfg.CheckpointEvery > 0 && cfg.CheckpointSink != nil && k > 0 && n%cfg.CheckpointEvery == 0 {
+		if cfg.CheckpointEvery > 0 && cfg.CheckpointSink != nil && k > 0 && done%cfg.CheckpointEvery == 0 {
 			if err := ctx.Err(); err != nil {
-				return Result{}, fmt.Errorf("sim: cancelled at record %d: %w", n, err)
+				return Result{}, fmt.Errorf("sim: cancelled at record %d: %w", done, err)
 			}
-			data, err := takeCheckpoint(cfg, src, ctrl, n)
+			if err := workers.drain(); err != nil {
+				return Result{}, err
+			}
+			data, err := takeCheckpoint(cfg, src, hub, done)
 			if err != nil {
-				return Result{}, fmt.Errorf("sim: checkpoint at record %d: %w", n, err)
+				return Result{}, fmt.Errorf("sim: checkpoint at record %d: %w", done, err)
 			}
-			if err := cfg.CheckpointSink(data, n); err != nil {
-				return Result{}, fmt.Errorf("sim: checkpoint sink at record %d: %w", n, err)
+			if err := cfg.CheckpointSink(data, done); err != nil {
+				return Result{}, fmt.Errorf("sim: checkpoint sink at record %d: %w", done, err)
 			}
 		}
 		if errors.Is(rerr, io.EOF) {
 			break
 		}
 		if rerr != nil {
-			return Result{}, fmt.Errorf("sim: reading trace record %d: %w", n, rerr)
+			return Result{}, fmt.Errorf("sim: reading trace record %d: %w", done, rerr)
 		}
 		if k == 0 {
-			return Result{}, fmt.Errorf("sim: reading trace record %d: %w", n, io.ErrNoProgress)
+			return Result{}, fmt.Errorf("sim: reading trace record %d: %w", done, io.ErrNoProgress)
 		}
 	}
-	last := ctrl.Flush()
-	if err := ctrl.Err(); err != nil {
+	if err := workers.drain(); err != nil {
+		return Result{}, err
+	}
+	last := hub.Flush()
+	if err := hub.Err(); err != nil {
 		return Result{}, fmt.Errorf("sim: %w", err)
 	}
 
-	if reg != nil {
-		ctrl.PublishObs()
-		res.Metrics = reg.Snapshot()
-		if ring := reg.Events(); ring != nil {
-			res.Events = ring.Events()
-			res.EventsTotal = ring.Total()
-			res.EventsDropped = ring.Dropped()
+	// Per-channel instruments fold in fixed channel order, so the result is
+	// identical regardless of which shard's goroutine finished first. For
+	// one channel the fold is an exact copy: merging one snapshot recomputes
+	// the same means, and adding one meter to a fresh one adds 0 + x.
+	var res Result
+	if observed {
+		hub.PublishObs()
+		snaps := make([]*obs.Snapshot, n)
+		for i, reg := range regs {
+			snaps[i] = reg.Snapshot()
 		}
-		if tr := reg.Spans(); tr != nil {
-			res.Spans = tr.Spans()
-			res.SpansDropped = tr.Dropped()
-		}
-		if ser := reg.Series(); ser != nil {
-			res.Series = ser.Samples()
-			res.SeriesDropped = ser.Dropped()
+		res.Metrics = obs.MergeSnapshots(snaps...)
+		for _, reg := range regs {
+			if ring := reg.Events(); ring != nil {
+				res.Events = append(res.Events, ring.Events()...)
+				res.EventsTotal += ring.Total()
+				res.EventsDropped += ring.Dropped()
+			}
+			if tr := reg.Spans(); tr != nil {
+				res.Spans = append(res.Spans, tr.Spans()...)
+				res.SpansDropped += tr.Dropped()
+			}
+			if ser := reg.Series(); ser != nil {
+				res.Series = append(res.Series, ser.Samples()...)
+				res.SeriesDropped += ser.Dropped()
+			}
 		}
 	}
-	res.Report = ctrl.Report()
+	res.Report = hub.Report()
 	res.Faults = res.Report.Faults
-	res.Records = n
+	res.Records = done
 	res.LastCycle = last
 	res.MeanLatency = res.Report.All.Mean()
 	res.MeanDRAMLatency = res.Report.DRAMAll.Mean()
-	if meter != nil {
-		res.EnergyPJ = meter.EnergyPJ()
-		res.NormalizedPower = meter.Normalized()
+	if cfg.MeterPower {
+		total := power.NewMeter(config.PaperPower())
+		for _, m := range meters {
+			total.Merge(m)
+		}
+		res.EnergyPJ = total.EnergyPJ()
+		res.NormalizedPower = total.Normalized()
 	}
 	return res, nil
 }

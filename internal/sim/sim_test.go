@@ -6,6 +6,7 @@ import (
 	"heteromem/internal/addr"
 	"heteromem/internal/config"
 	"heteromem/internal/core"
+	"heteromem/internal/obs"
 	"heteromem/internal/trace"
 	"heteromem/internal/workload"
 )
@@ -132,36 +133,49 @@ func TestDesignNStallsExecution(t *testing.T) {
 	}
 }
 
-func TestConvergenceWindows(t *testing.T) {
-	src, err := skewedSource(60000, 42)
+// TestConvergenceSeries checks through the epoch series that migration
+// pulls the hot set on-package: the on-package share of the accesses in the
+// last fifth of the monitoring epochs beats that of the first fifth, and
+// the cumulative swap count never decreases.
+func TestConvergenceSeries(t *testing.T) {
+	const records, interval = 60000, 2000
+	src, err := skewedSource(records, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := Default()
 	cfg.Geometry = smallGeometry()
-	cfg.Migration = &core.Options{Design: core.DesignLive, SwapInterval: 2000}
-	cfg.WindowRecords = 10000
+	cfg.Migration = &core.Options{Design: core.DesignLive, SwapInterval: interval}
+	cfg.EpochSeries = records/interval + 1
 	res, err := Run(src, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Windows) != 6 {
-		t.Fatalf("%d windows, want 6", len(res.Windows))
+	if res.SeriesDropped != 0 {
+		t.Fatalf("%d samples dropped from a ring sized for the whole run", res.SeriesDropped)
 	}
-	// Convergence: on-package share must grow from the first window to the
-	// last, and swap counts must be cumulative (non-decreasing).
-	if res.Windows[len(res.Windows)-1].OnShare <= res.Windows[0].OnShare {
-		t.Fatalf("on-share did not converge upward: first %.2f last %.2f",
-			res.Windows[0].OnShare, res.Windows[len(res.Windows)-1].OnShare)
+	s := res.Series
+	epochs := len(s) - 1 // the last sample is the flush-time one
+	if epochs != records/interval || !s[epochs].Final {
+		t.Fatalf("%d samples (final=%v), want %d epochs plus the flush-time sample",
+			len(s), s[len(s)-1].Final, records/interval)
 	}
-	for i := 1; i < len(res.Windows); i++ {
-		if res.Windows[i].SwapsSoFar < res.Windows[i-1].SwapsSoFar {
-			t.Fatal("swap counter decreased between windows")
-		}
+	// share is the on-package share of the accesses routed between two
+	// cumulative samples.
+	share := func(from, to obs.EpochSample) float64 {
+		on := to.AccOn - from.AccOn
+		return float64(on) / float64(on+to.AccOff-from.AccOff)
 	}
-	for _, w := range res.Windows {
-		if w.MeanLatency <= 0 {
-			t.Fatalf("window with non-positive latency: %+v", w)
+	fifth := epochs / 5
+	first := share(obs.EpochSample{}, s[fifth-1])
+	last := share(s[epochs-fifth-1], s[epochs-1])
+	if last <= first {
+		t.Fatalf("on-share did not converge upward: first fifth %.2f, last fifth %.2f", first, last)
+	}
+	for i := 1; i < len(s); i++ {
+		if s[i].SwapsCompleted < s[i-1].SwapsCompleted {
+			t.Fatalf("swap count decreased from %d to %d at sample %d",
+				s[i-1].SwapsCompleted, s[i].SwapsCompleted, i)
 		}
 	}
 }
