@@ -531,6 +531,36 @@ func BenchmarkBatchReplay(b *testing.B) {
 	}
 }
 
+// BenchmarkEndToEndSharded replays one packed pgbench trace of b.N records
+// through sim.Run at one, two and four channels, in the configuration of
+// the benchmark's sharded workload (alloy-pred cache, 64 KiB pages, no
+// migration). Packing is untimed. The c2 and c4 records/s over c1's is the
+// sharded runner's speedup over one channel.
+func BenchmarkEndToEndSharded(b *testing.B) {
+	for _, channels := range []int{1, 2, 4} {
+		b.Run(map[int]string{1: "c1", 2: "c2", 4: "c4"}[channels], func(b *testing.B) {
+			gen, err := workload.NewMemory("pgbench", 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			p, err := trace.Pack(gen, uint64(b.N))
+			if err != nil {
+				b.Fatal(err)
+			}
+			cfg := sim.Default()
+			cfg.Geometry.MacroPageSize = 64 * KiB
+			cfg.Scheme = scheme.Spec{Kind: scheme.KindAlloy, Predictor: true}
+			cfg.Channels = channels
+			cfg.MaxRecords = uint64(b.N)
+			b.ResetTimer()
+			if _, err := sim.Run(trace.NewPackedSource(p), cfg); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "records/s")
+		})
+	}
+}
+
 // BenchmarkPackedEncode packs b.N generator records; the reported
 // compression-x metric is the in-memory []Record footprint over the packed
 // bytes (the tentpole's >= 4x size target).

@@ -39,10 +39,10 @@ type Params struct {
 	// simulations (0 = GOMAXPROCS).
 	Parallelism int
 	// Channels shards every simulation across this many per-channel
-	// controllers under the deterministic cycle barrier (0 or 1 = the
-	// single-controller classic path). Manifest cells key on the config
-	// digest, which covers the channel layout, so sharded and unsharded
-	// sweeps never collide.
+	// controllers, one worker goroutine each, with bit-reproducible
+	// results (0 or 1 = the single-controller classic path). Manifest
+	// cells key on the config digest, which covers the channel layout, so
+	// sharded and unsharded sweeps never collide.
 	Channels int
 	// Telemetry, when non-nil, receives live sweep telemetry (run
 	// progress, merged metrics) from every driver; serve its Handler to

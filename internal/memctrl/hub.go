@@ -168,7 +168,8 @@ func (h *Hub) Mapping() *addr.Mapping { return h.iv.Mapping() }
 func (h *Hub) HopLatency() int64 { return h.hop }
 
 // Shard exposes channel i's controller (the sim's run loop drives shards
-// directly: a single channel inline, more through pre-routed records).
+// directly: a single channel inline, more through workers that route their
+// own records).
 func (h *Hub) Shard(i int) *Controller { return h.ctrls[i] }
 
 // Route decodes the channel and shard-local address of a physical address.

@@ -50,7 +50,8 @@ func (p *plainSource) SkipTo(n uint64) error       { return p.src.SkipTo(n) }
 
 // TestBatchSizeInvariance is the tentpole's semantic contract: batching is
 // an execution detail, never a behavior change. For every design (plus the
-// sharded path) the run must produce byte-identical results AND
+// sharded path at two and four channels, whose workers synchronize at every
+// batch handover) the run must produce byte-identical results AND
 // byte-identical checkpoints at every boundary, no matter how records are
 // grouped: singleton batches, odd sizes, the cancel stride, one giant
 // batch, or the per-record FillBatch fallback. CheckpointEvery and Warmup
@@ -71,6 +72,7 @@ func TestBatchSizeInvariance(t *testing.T) {
 		{"n-1", core.DesignN1, 1},
 		{"live", core.DesignLive, 1},
 		{"live-sharded", core.DesignLive, 2},
+		{"live-sharded-c4", core.DesignLive, 4},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -125,6 +127,56 @@ func TestBatchSizeInvariance(t *testing.T) {
 							name, n, len(got.cps[n]), len(data))
 					}
 				}
+			}
+		})
+	}
+}
+
+// arraySource is a BatchSource that records the backing array of every
+// batch the run loop asks it to fill. It forwards Positioner so the run can
+// checkpoint.
+type arraySource struct {
+	src    *trace.SliceSource
+	arrays map[*uint64]bool
+	calls  int
+}
+
+func (a *arraySource) Next() (trace.Record, error) { return a.src.Next() }
+func (a *arraySource) Position() uint64            { return a.src.Position() }
+func (a *arraySource) SkipTo(n uint64) error       { return a.src.SkipTo(n) }
+
+func (a *arraySource) NextBatch(b *trace.Batch) (int, error) {
+	a.arrays[&b.Cycle[0]] = true
+	a.calls++
+	return a.src.NextBatch(b)
+}
+
+// TestShardedLookAheadBounded pins the sharded run loop's memory bound: it
+// decodes at most one batch ahead of the workers, into one of two pooled
+// batches, so over a whole run with warmup and checkpoint boundaries it
+// never hands the source more than two distinct backing arrays.
+func TestShardedLookAheadBounded(t *testing.T) {
+	recs, err := trace.Collect(equivSource(t), 12_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, channels := range []int{2, 4} {
+		t.Run(fmt.Sprintf("c%d", channels), func(t *testing.T) {
+			cfg := equivConfig(core.DesignLive, false)
+			cfg.Channels = channels
+			cfg.CheckpointEvery = 3_500
+			checkpoints := 0
+			cfg.CheckpointSink = func([]byte, uint64) error { checkpoints++; return nil }
+			src := &arraySource{src: trace.NewSliceSource(recs), arrays: map[*uint64]bool{}}
+			res, err := Run(src, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Records != uint64(len(recs)) || checkpoints != 3 {
+				t.Fatalf("ran %d records with %d checkpoints, want %d with 3", res.Records, checkpoints, len(recs))
+			}
+			if len(src.arrays) > 2 {
+				t.Fatalf("%d NextBatch calls used %d distinct batch arrays, want at most 2", src.calls, len(src.arrays))
 			}
 		})
 	}

@@ -163,37 +163,6 @@ func TestShardedDeterminism(t *testing.T) {
 	}
 }
 
-// TestShardedBarrierWindowInvariance pins the design claim that the barrier
-// window only trades buffering against synchronization overhead: results
-// are byte-identical across radically different window sizes.
-func TestShardedBarrierWindowInvariance(t *testing.T) {
-	base := shardedConfig(2, core.DesignN1, true)
-	want := func() []byte {
-		gen, err := workload.NewMemory("pgbench", 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := Run(gen, base)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return canonical(t, res)
-	}()
-	for _, window := range []int64{1, 64, 100_000, 1 << 30} {
-		gen, err := workload.NewMemory("pgbench", 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := simulate(context.Background(), gen, base, window)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := canonical(t, res); !bytes.Equal(got, want) {
-			t.Fatalf("barrier window %d diverged from the default window", window)
-		}
-	}
-}
-
 // TestShardedCheckpointSections verifies the sharded container layout (one
 // ctrl<i> section per channel) and that the config digest separates channel
 // layouts: a checkpoint taken at channels=2 must not resume at channels=4.

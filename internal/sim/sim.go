@@ -10,8 +10,9 @@
 //
 // One run loop serves every channel count: it reads the trace in batches
 // cut at the run's semantic boundaries (see batchBoundary) and drives a
-// single channel inline on the caller's goroutine, or more channels on one
-// worker goroutine each under a cycle barrier (see shardWorkers).
+// single channel inline on the caller's goroutine, or hands each batch to
+// one worker goroutine per channel, decoding the next batch while the
+// workers simulate this one (see shardWorkers).
 package sim
 
 import (
@@ -54,9 +55,10 @@ type Config struct {
 	// Channels shards the controller: the physical space stripes across
 	// this many per-channel controllers behind a hub (internal/memctrl),
 	// and the run executes deterministically in parallel — one goroutine
-	// per channel under a cycle barrier (see shardWorkers). 0 and 1 both
-	// mean the classic single controller; values > 1 must be powers of two
-	// and divide both capacities into whole-stripe shards.
+	// per channel, each simulating its own channel's records of every
+	// trace batch (see shardWorkers). 0 and 1 both mean the classic single
+	// controller; values > 1 must be powers of two and divide both
+	// capacities into whole-stripe shards.
 	Channels int
 
 	// InterleaveBytes is the channel-striping granularity (0 = the macro
@@ -241,14 +243,6 @@ func Run(src trace.Source, cfg Config) (Result, error) {
 // and RunContext with an inert context are byte-identical. Every return
 // path waits for the shard workers of a sharded run to exit.
 func RunContext(ctx context.Context, src trace.Source, cfg Config) (Result, error) {
-	return simulate(ctx, src, cfg, 0)
-}
-
-// simulate is RunContext with the barrier window of a sharded run as a
-// parameter, in trace cycles per barrier epoch (0 = defaultBarrierWindow or
-// the hop latency, whichever is larger). Results never depend on it, so
-// only tests choose it.
-func simulate(ctx context.Context, src trace.Source, cfg Config, window int64) (Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -305,32 +299,42 @@ func simulate(ctx context.Context, src trace.Source, cfg Config, window int64) (
 		}
 	}
 	inline := hub.Shard(0)
-	var workers *shardWorkers
-	if n > 1 {
-		workers = startShardWorkers(hub, window)
-		defer workers.stop()
-	}
 	// Records stream through in batches sized to the next semantic boundary
 	// (cancel stride, warmup edge, checkpoint edge, MaxRecords), so every
 	// per-record check hoists to a batch edge while firing at exactly the
 	// record counts a per-record loop would — semantics are bit-identical.
-	var recs trace.Batch
+	// A sharded run alternates two batches, each sized once for the largest
+	// cut: the loop decodes into one while the workers simulate the other.
+	var pool [2]trace.Batch
+	cur := 0 // the pooled batch the loop decodes into next
+	var workers *shardWorkers
+	if n > 1 {
+		workers = startShardWorkers(hub)
+		defer workers.stop()
+		for i := range pool {
+			pool[i].Resize(cancelStride)
+		}
+	}
 	for cfg.MaxRecords == 0 || done < cfg.MaxRecords {
 		if done%cancelStride == 0 {
 			if err := ctx.Err(); err != nil {
 				return Result{}, fmt.Errorf("sim: cancelled at record %d: %w", done, err)
 			}
 		}
+		recs := &pool[cur]
 		recs.Resize(int(batchBoundary(&cfg, done)))
-		k, rerr := trace.ReadBatch(src, &recs)
+		k, rerr := trace.ReadBatch(src, recs)
 		if workers == nil {
 			for j := 0; j < k; j++ {
 				if err := inline.Access(recs.Addr[j], recs.Write[j], int64(recs.Cycle[j])); err != nil {
 					return Result{}, fmt.Errorf("sim: access %d: %w", done+uint64(j), err)
 				}
 			}
-		} else if err := workers.feed(&recs, k); err != nil {
-			return Result{}, err
+		} else {
+			if err := workers.handover(recs, k); err != nil {
+				return Result{}, err
+			}
+			cur ^= 1
 		}
 		done += uint64(k)
 		if cfg.Warmup > 0 && done == cfg.Warmup && k > 0 {
