@@ -2,7 +2,7 @@
 // the evaluation has a driver, selected with -exp. It also supports a
 // single-run mode (-workload) that simulates one workload through one
 // migration design and emits the full result — optionally with metrics,
-// an event trace, and fault injection — as JSON.
+// a span trace, and fault injection — as JSON.
 //
 // Usage:
 //
@@ -12,7 +12,7 @@
 //	hmsim -list                       # show available experiments
 //
 //	hmsim -workload pgbench -design live -records 1000000 -metrics
-//	hmsim -workload tpcc -design n-1 -audit -events 256
+//	hmsim -workload SPECjbb -design n-1 -audit -trace-out trace.json
 //	hmsim -workload pgbench -scheme alloy-pred    # DRAM-cache scheme, no migration
 //	hmsim -workload pgbench -scheme memcache:25 -design live
 //	hmsim -workload pgbench -design live -audit \
@@ -85,7 +85,6 @@ func main() {
 		interval     = flag.Uint64("interval", 1000, "single-run swap interval (accesses per epoch)")
 		page         = flag.Uint64("page", 0, "single-run macro page size in bytes (0 = Table III default)")
 		metrics      = flag.Bool("metrics", false, "single-run: collect and emit the metrics snapshot")
-		events       = flag.Int("events", 0, "single-run: keep the last N structured pipeline events")
 		audit        = flag.Bool("audit", false, "single-run: verify translation-table invariants throughout")
 		traceOut     = flag.String("trace-out", "", "single-run: write a cycle-domain span trace as Chrome trace-event JSON to this file")
 		seriesOut    = flag.String("series-out", "", "single-run: write the per-epoch time series as JSONL to this file")
@@ -174,7 +173,7 @@ func main() {
 		}
 	}
 	onlyIn([]string{
-		"design", "scheme", "metrics", "events", "audit",
+		"design", "scheme", "metrics", "audit",
 		"trace-out", "series-out", "cpuprofile", "memprofile",
 		"checkpoint-out", "resume",
 		"fault-seed", "fault-device", "fault-copy", "fault-bulk",
@@ -193,9 +192,6 @@ func main() {
 	onlyIn([]string{"name"}, mode == modeWorker, "worker mode (-worker)")
 	onlyIn([]string{"records", "warmup", "seed", "channels"},
 		mode != modeWorker, "a mode that simulates locally (workers take cell parameters from their leases)")
-	if *events < 0 {
-		usageErr("-events must be >= 0, got %d", *events)
-	}
 	if *channels < 0 {
 		usageErr("-channels must be >= 0, got %d", *channels)
 	}
@@ -301,7 +297,7 @@ func main() {
 			Workload: *workloadName, Design: d, Scheme: *schemeName, Interval: iv, Page: *page,
 			Channels: *channels,
 			Records:  *records, Warmup: *warmup, Seed: *seed,
-			Metrics: *metrics, Events: *events, Audit: *audit, Fault: fcfg,
+			Metrics: *metrics, Audit: *audit, Fault: fcfg,
 			TraceOut: *traceOut, SeriesOut: *seriesOut,
 			CheckpointOut: *ckOut, CheckpointEvery: *ckEvery, ResumeFrom: *resume,
 		})
@@ -720,7 +716,6 @@ type singleRunConfig struct {
 	Warmup   uint64
 	Seed     int64
 	Metrics  bool
-	Events   int
 	Audit    bool
 	Fault    heteromem.FaultConfig
 
@@ -752,7 +747,6 @@ func singleRun(ctx context.Context, w io.Writer, c singleRunConfig) error {
 		Channels:      c.Channels,
 		Warmup:        c.Warmup,
 		Metrics:       c.Metrics,
-		EventTrace:    c.Events,
 		Audit:         c.Audit,
 		Fault:         c.Fault,
 	}

@@ -23,9 +23,9 @@ import (
 )
 
 // TestSingleRunMetricsJSON pins the acceptance contract of `hmsim
-// -workload ... -metrics -events N`: the emitted JSON must carry at least
-// swap counts, per-region queue-latency histograms, P-bit stall counts,
-// and background-copy traffic, plus the structured event trace.
+// -workload ... -metrics`: the emitted JSON must carry at least swap
+// counts, per-region queue-latency histograms, P-bit stall counts, and
+// background-copy traffic.
 func TestSingleRunMetricsJSON(t *testing.T) {
 	var buf bytes.Buffer
 	live, ok := parseDesign("live")
@@ -35,7 +35,7 @@ func TestSingleRunMetricsJSON(t *testing.T) {
 	err := singleRun(context.Background(), &buf, singleRunConfig{
 		Workload: "pgbench", Design: live, Interval: 1000,
 		Records: 200_000, Seed: 1,
-		Metrics: true, Events: 64, Audit: true,
+		Metrics: true, Audit: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -51,8 +51,6 @@ func TestSingleRunMetricsJSON(t *testing.T) {
 				Gauges     map[string]int64           `json:"gauges"`
 				Histograms map[string]json.RawMessage `json:"histograms"`
 			} `json:"Metrics"`
-			Events      []json.RawMessage
-			EventsTotal uint64
 		}
 	}
 	if err := json.Unmarshal(buf.Bytes(), &out); err != nil {
@@ -86,9 +84,6 @@ func TestSingleRunMetricsJSON(t *testing.T) {
 		if _, ok := m.Histograms[hist]; !ok {
 			t.Errorf("per-region queue-latency histogram %q missing", hist)
 		}
-	}
-	if len(out.Result.Events) == 0 || out.Result.EventsTotal == 0 {
-		t.Error("-events produced no event trace")
 	}
 }
 

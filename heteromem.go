@@ -124,11 +124,6 @@ type Config struct {
 	// and latency histograms are collected and returned in Result.Metrics.
 	Metrics bool
 
-	// EventTrace, when positive, additionally records the last N structured
-	// pipeline events (epochs, swap steps, P-bit stalls, copy completions)
-	// into Result.Events. Implies Metrics.
-	EventTrace int
-
 	// SpanTrace, when positive, records up to N cycle-domain begin/end
 	// spans (swap lifecycles, copy legs, N-design stalls, fault ladders)
 	// into Result.Spans; export them with WriteChromeTrace. Implies Metrics.
@@ -235,7 +230,6 @@ func New(c Config) (*System, error) {
 	scfg.MeterPower = c.MeterPower
 	scfg.Warmup = c.Warmup
 	scfg.Metrics = c.Metrics
-	scfg.EventTrace = c.EventTrace
 	scfg.SpanTrace = c.SpanTrace
 	scfg.EpochSeries = c.EpochSeries
 	scfg.Audit = c.Audit
@@ -269,8 +263,7 @@ func (s *System) RunContext(ctx context.Context, src Source, maxRecords uint64) 
 // handed to Sink. A run restarted with Resume set to any such snapshot
 // (same configuration, same freshly constructed source) produces a Result
 // identical to the uninterrupted run. Checkpointing is incompatible with
-// the observability collectors (Metrics, EventTrace, SpanTrace,
-// EpochSeries).
+// the observability collectors (Metrics, SpanTrace, EpochSeries).
 type Checkpointing struct {
 	Every  uint64                                  // records between checkpoints (0 = off)
 	Sink   func(data []byte, records uint64) error // receives each checkpoint

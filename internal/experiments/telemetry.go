@@ -176,16 +176,13 @@ func (t *Telemetry) SetWorkerHealth(fn func() []WorkerHealth) {
 	t.mu.Unlock()
 }
 
-// ObserveRingDrops folds one run's observability-ring drop counts (event,
-// span, and series rings, see internal/obs) into the sweep totals, so a
-// sweep that silently overwrote trace data is visible on /metrics as
+// ObserveRingDrops folds one run's observability drop counts (the span
+// buffer and the series ring, see internal/obs) into the sweep totals, so a
+// sweep that silently lost trace data is visible on /metrics as
 // hmsim_sim_obs_*_ring_dropped. Nil-safe.
-func (t *Telemetry) ObserveRingDrops(events, spans, series uint64) {
-	if t == nil || events|spans|series == 0 {
+func (t *Telemetry) ObserveRingDrops(spans, series uint64) {
+	if t == nil || spans|series == 0 {
 		return
-	}
-	if events > 0 {
-		t.sum("counter.obs.events_ring_dropped").Add(int64(events))
 	}
 	if spans > 0 {
 		t.sum("counter.obs.spans_ring_dropped").Add(int64(spans))
@@ -428,7 +425,7 @@ func (p Params) runTrace(name string, cfg sim.Config) (sim.Result, error) {
 			return sim.Result{}, err
 		} else if ok {
 			t.observeRun(res.Records, res.Metrics)
-			t.ObserveRingDrops(res.EventsDropped, res.SpansDropped, res.SeriesDropped)
+			t.ObserveRingDrops(res.SpansDropped, res.SeriesDropped)
 			return res, nil
 		}
 	}
@@ -441,7 +438,7 @@ func (p Params) runTrace(name string, cfg sim.Config) (sim.Result, error) {
 	if err == nil {
 		if t != nil {
 			t.observeRun(res.Records, res.Metrics)
-			t.ObserveRingDrops(res.EventsDropped, res.SpansDropped, res.SeriesDropped)
+			t.ObserveRingDrops(res.SpansDropped, res.SeriesDropped)
 		}
 		if p.Manifest != nil {
 			if serr := p.Manifest.store(name, p.seed(), cfg, res); serr != nil {

@@ -272,7 +272,7 @@ func TestTelemetryCollectorsAndWorkerHealth(t *testing.T) {
 	var none *Telemetry
 	none.AddCollector(func(*strings.Builder) {})
 	none.SetWorkerHealth(func() []WorkerHealth { return nil })
-	none.ObserveRingDrops(1, 2, 3)
+	none.ObserveRingDrops(2, 3)
 }
 
 // TestTelemetryObserveRingDrops checks that per-run observability-ring
@@ -280,20 +280,19 @@ func TestTelemetryCollectorsAndWorkerHealth(t *testing.T) {
 // nothing (the common case must stay invisible).
 func TestTelemetryObserveRingDrops(t *testing.T) {
 	tel := NewTelemetry()
-	tel.ObserveRingDrops(0, 0, 0)
+	tel.ObserveRingDrops(0, 0)
 	var b strings.Builder
 	tel.WriteMetrics(&b)
 	if strings.Contains(b.String(), "ring_dropped") {
 		t.Errorf("zero drops should not emit ring metrics:\n%s", b.String())
 	}
 
-	tel.ObserveRingDrops(5, 0, 2)
-	tel.ObserveRingDrops(1, 3, 0)
+	tel.ObserveRingDrops(0, 2)
+	tel.ObserveRingDrops(3, 0)
 	b.Reset()
 	tel.WriteMetrics(&b)
 	text := b.String()
 	for _, want := range []string{
-		"hmsim_sim_obs_events_ring_dropped 6",
 		"hmsim_sim_obs_spans_ring_dropped 3",
 		"hmsim_sim_obs_series_ring_dropped 2",
 	} {

@@ -73,7 +73,6 @@ func (c *Controller) enterDegraded(cycle int64) {
 	if c.mig != nil {
 		c.mig.Degrade()
 	}
-	c.inst.ring.Emit(cycle, obs.EvDegrade, c.inj.Faults(), 0, 0)
 	c.inst.spans.Mark(obs.LaneFault, obs.MarkDegrade, cycle, c.inj.Faults(), 0, 0)
 }
 
@@ -147,14 +146,13 @@ func (c *Controller) execRetire(s int, cycle int64) {
 		c.inst.copyBytes.Add(sc.Bytes)
 	}
 	spare, _ := c.mig.Table().ExiledTo(uint64(s))
-	c.inst.ring.Emit(at, obs.EvRetire, uint64(s), spare, 0)
 	c.inst.spans.Span(obs.LaneFault, obs.SpanRetire, cycle, at, uint64(s), spare, 0)
 	if !c.mig.CanSwap() && !c.degradedMode {
 		// The retired slot was the empty row: the N-1/Live designs have no
 		// structural room left to swap.
 		c.enterDegraded(at)
 	}
-	c.auditAt(at, true)
+	c.audit(true)
 }
 
 // reserve books dur bus cycles for a bulk copy touching the given machine
@@ -171,7 +169,6 @@ func (c *Controller) reserve(on bool, machine uint64, at, dur int64) int64 {
 // it is the scheduler's fault handler. The returned backoff applies only
 // when retry is true.
 func (c *Controller) deviceFault(r *sched.Request, region Region) (retry bool, backoff int64) {
-	c.inst.ring.Emit(c.now, obs.EvFault, uint64(fault.PointDevice), r.Addr, uint64(r.Attempts))
 	c.inst.spans.Mark(obs.LaneFault, obs.MarkFault, c.now, uint64(fault.PointDevice), r.Addr, uint64(r.Attempts))
 	if c.degradedMode {
 		// Static fallback mode absorbs faults: deliver what the frame holds.
@@ -196,7 +193,6 @@ func (c *Controller) deviceFault(r *sched.Request, region Region) (retry bool, b
 	if r.Attempts < c.inj.RetryBudget() {
 		c.account(fault.PointDevice, fault.Retried)
 		backoff = c.retry.Delay(r.Attempts + 1)
-		c.inst.ring.Emit(c.now, obs.EvFaultRetry, uint64(fault.PointDevice), uint64(r.Attempts+1), uint64(backoff))
 		c.inst.spans.Span(obs.LaneFault, obs.SpanBackoff, c.now, c.now+backoff, uint64(fault.PointDevice), uint64(r.Attempts+1), 0)
 		return true, backoff
 	}
@@ -251,7 +247,6 @@ func (c *Controller) retryLeg(meta *legMeta, j *sched.BulkJob) {
 	retry.Duration = j.Duration
 	retry.Earliest = j.Done + c.retry.Delay(meta.attempts)
 	retry.Meta = meta
-	c.inst.ring.Emit(j.Done, obs.EvFaultRetry, uint64(fault.PointCopy), uint64(meta.attempts), uint64(retry.Earliest-j.Done))
 	c.inst.spans.Span(obs.LaneFault, obs.SpanBackoff, j.Done, retry.Earliest, uint64(fault.PointCopy), uint64(meta.attempts), 0)
 	c.freeBulkJob(j)
 	if meta.isRead {
@@ -277,7 +272,6 @@ func (c *Controller) stepFaultVerdict(cycle int64) (redo, abort bool) {
 	if c.stepAttempts < c.inj.RetryBudget() {
 		c.stepAttempts++
 		c.account(fault.PointBulk, fault.Retried)
-		c.inst.ring.Emit(cycle, obs.EvFaultRetry, uint64(fault.PointBulk), uint64(c.stepAttempts), 0)
 		return true, false
 	}
 	c.account(fault.PointBulk, fault.RolledBack)
@@ -287,7 +281,6 @@ func (c *Controller) stepFaultVerdict(cycle int64) (redo, abort bool) {
 // stepFault handles a faulted step completion on the background (N-1/Live)
 // path; true means the normal StepDone chain must not run.
 func (c *Controller) stepFault(cycle int64) bool {
-	c.inst.ring.Emit(cycle, obs.EvFault, uint64(fault.PointBulk), 0, uint64(c.stepAttempts))
 	c.inst.spans.Mark(obs.LaneFault, obs.MarkFault, cycle, uint64(fault.PointBulk), 0, uint64(c.stepAttempts))
 	redo, abort := c.stepFaultVerdict(cycle)
 	if abort {
@@ -303,10 +296,7 @@ func (c *Controller) stepFault(cycle int64) bool {
 		c.step = nil
 		return true
 	}
-	c.step = &stepState{subsLeft: len(subs)}
-	for _, sc := range subs {
-		c.enqueueReadLeg(sc, cycle)
-	}
+	c.issueStep(&stepState{subsLeft: len(subs)}, subs, cycle)
 	return true
 }
 
@@ -318,7 +308,6 @@ func (c *Controller) abortSwap(st *stepState, cycle int64) {
 	if st != nil {
 		st.aborted = true
 	}
-	mru, victim, _, _, _ := c.mig.CurrentPlan()
 	var partial []int
 	if st != nil {
 		partial = st.completed
@@ -329,7 +318,6 @@ func (c *Controller) abortSwap(st *stepState, cycle int64) {
 		c.step = nil
 		return
 	}
-	c.inst.ring.Emit(cycle, obs.EvSwapAbort, mru, uint64(victim), uint64(len(undo)))
 	c.rollBegin = cycle
 	c.undoQueue = undo
 	c.step = nil
@@ -343,10 +331,9 @@ func (c *Controller) startNextUndo(cycle int64) {
 		c.finishRollback(cycle)
 		return
 	}
-	sc := c.undoQueue[0]
+	next := c.undoQueue[:1]
 	c.undoQueue = c.undoQueue[1:]
-	c.step = &stepState{subsLeft: 1, undo: true}
-	c.enqueueReadLeg(sc, cycle)
+	c.issueStep(&stepState{subsLeft: 1, undo: true}, next, cycle)
 }
 
 // finishRollback restores the swap-start table snapshot once the undo
@@ -359,9 +346,8 @@ func (c *Controller) finishRollback(cycle int64) {
 		return
 	}
 	c.step = nil
-	c.inst.ring.Emit(cycle, obs.EvRollbackDone, mru, 0, 0)
 	c.inst.spans.Span(obs.LaneFault, obs.SpanRollback, c.rollBegin, cycle, mru, 0, 0)
-	c.auditAt(cycle, true)
+	c.audit(true)
 	c.serviceQuiescent(cycle)
 }
 
@@ -380,10 +366,9 @@ func (c *Controller) abandonUndo(cycle int64) {
 		return
 	}
 	c.step = nil
-	c.inst.ring.Emit(cycle, obs.EvRollbackDone, mru, 1, 0)
 	c.inst.spans.Span(obs.LaneFault, obs.SpanRollback, c.rollBegin, cycle, mru, 1, 0)
 	c.requestDegrade(cycle)
-	c.auditAt(cycle, true)
+	c.audit(true)
 	c.serviceQuiescent(cycle)
 }
 
@@ -392,12 +377,11 @@ func (c *Controller) abandonUndo(cycle int64) {
 // still subject to copy-leg fault probes; if the undo itself exhausts its
 // retries the rollback is abandoned into degraded mode.
 func (c *Controller) stalledRollback(partial []int, cycle int64) error {
-	mru, victim, _, _, _ := c.mig.CurrentPlan()
+	mru, _, _, _, _ := c.mig.CurrentPlan()
 	undo, err := c.mig.AbortSwap(partial)
 	if err != nil {
 		return err
 	}
-	c.inst.ring.Emit(cycle, obs.EvSwapAbort, mru, uint64(victim), uint64(len(undo)))
 	at := cycle
 	abandoned := false
 undoLoop:
@@ -415,7 +399,6 @@ undoLoop:
 			if c.inj == nil || !c.inj.Fault(fault.PointCopy) {
 				break
 			}
-			c.inst.ring.Emit(at, obs.EvFault, uint64(fault.PointCopy), sc.Dst, uint64(attempts))
 			c.inst.spans.Mark(obs.LaneFault, obs.MarkFault, at, uint64(fault.PointCopy), sc.Dst, uint64(attempts))
 			switch c.copyFaultVerdict(true, sc.Dst, dstOn, attempts, true, at) {
 			case verdictAbort:
@@ -426,7 +409,6 @@ undoLoop:
 			case verdictRetry:
 				attempts++
 				legStart = at + c.retry.Delay(attempts)
-				c.inst.ring.Emit(at, obs.EvFaultRetry, uint64(fault.PointCopy), uint64(attempts), uint64(legStart-at))
 				c.inst.spans.Span(obs.LaneFault, obs.SpanBackoff, at, legStart, uint64(fault.PointCopy), uint64(attempts), 0)
 				continue
 			}
@@ -438,12 +420,11 @@ undoLoop:
 	if err := c.mig.RollbackDone(); err != nil {
 		return err
 	}
-	c.inst.ring.Emit(at, obs.EvRollbackDone, mru, boolToU64(abandoned), 0)
 	c.inst.spans.Span(obs.LaneFault, obs.SpanRollback, cycle, at, mru, boolToU64(abandoned), 0)
 	if abandoned {
 		c.requestDegrade(at)
 	}
-	c.auditAt(at, true)
+	c.audit(true)
 	if c.stallUntil < at {
 		c.stallUntil = at
 	}

@@ -286,9 +286,9 @@ func (h *Hub) Report() Report {
 		}
 		if c.cache != nil {
 			if r.Scheme == nil {
-				r.Scheme = &SchemeReport{Name: c.policy.String()}
+				r.Scheme = &SchemeReport{Name: c.cache.String()}
 			}
-			r.Scheme.Stats.Add(c.policy.Stats())
+			r.Scheme.Stats.Add(c.cache.Stats())
 		}
 	}
 	if r.Scheme != nil {

@@ -79,8 +79,9 @@ type Config struct {
 	Power *power.Meter
 
 	// Obs receives runtime metrics (counters, latency histograms) and,
-	// when an event ring is enabled on it, the structured event trace.
-	// nil disables observability at zero hot-path cost.
+	// when a span tracer or series sampler is enabled on it, the
+	// cycle-domain span trace and the per-epoch series. nil disables
+	// observability at zero hot-path cost.
 	Obs *obs.Registry
 
 	// Audit attaches an invariant auditor (internal/check) to the
@@ -116,14 +117,13 @@ type Controller struct {
 
 	mig *core.Migrator
 
-	// The capacity policy (internal/scheme). policy is non-nil for every
-	// scheme; cache is the block-grain engine and stays nil under the
-	// default migration scheme, which keeps the pre-scheme code paths (and
-	// their goldens) untouched. onCap is the machine-space boundary of the
-	// on-package region: the full on-package capacity normally, the
-	// memory-part size under memcache. migSlots is how many on-package
-	// frames the migrator manages (all of them except under memcache).
-	policy   scheme.Scheme
+	// The capacity policy (internal/scheme). cache is the block-grain
+	// engine of the cache schemes and stays nil under the default migration
+	// scheme, which keeps the pre-scheme code paths (and their goldens)
+	// untouched. onCap is the machine-space boundary of the on-package
+	// region: the full on-package capacity normally, the memory-part size
+	// under memcache. migSlots is how many on-package frames the migrator
+	// manages (all of them except under memcache).
 	cache    scheme.Cache
 	onCap    uint64
 	migSlots uint64
@@ -219,7 +219,6 @@ type instruments struct {
 	qlatOff       *obs.Histogram
 	latOn         *obs.Histogram
 	latOff        *obs.Histogram
-	ring          *obs.EventRing
 	spans         *obs.SpanTracer    // cycle-domain span trace
 	series        *obs.SeriesSampler // per-epoch time series
 	enabled       bool               // any instrument live (guards extra lookups)
@@ -325,13 +324,13 @@ func New(cfg Config, onResult func(AccessResult)) (*Controller, error) {
 			if aerr != nil {
 				return nil, fmt.Errorf("memctrl: %w", aerr)
 			}
-			c.policy, c.cache = a, a
+			c.cache = a
 		} else {
 			tc, terr := scheme.NewTagCache(cfg.Scheme, g.OnPackageCapacity, g.BurstBytes)
 			if terr != nil {
 				return nil, fmt.Errorf("memctrl: %w", terr)
 			}
-			c.policy, c.cache = tc, tc
+			c.cache = tc
 		}
 	case scheme.KindMemCache:
 		if cfg.Migration == nil {
@@ -341,7 +340,7 @@ func New(cfg Config, onResult func(AccessResult)) (*Controller, error) {
 		if merr != nil {
 			return nil, fmt.Errorf("memctrl: %w", merr)
 		}
-		c.policy, c.cache = mc, mc
+		c.cache = mc
 		c.onCap = mc.MemBytes()
 		c.migSlots = mc.MemBytes() / g.MacroPageSize
 	}
@@ -365,9 +364,6 @@ func New(cfg Config, onResult func(AccessResult)) (*Controller, error) {
 		if cfg.Audit {
 			c.aud = check.New(c.mig.Table(), c.mig.Design())
 		}
-	}
-	if c.policy == nil {
-		c.policy = &scheme.Migrate{Mig: c.mig}
 	}
 	c.inj, err = fault.New(cfg.Fault)
 	if err != nil {
@@ -406,7 +402,6 @@ func New(cfg Config, onResult func(AccessResult)) (*Controller, error) {
 			qlatOff:     reg.Histogram("memctrl.qlat.off", lb),
 			latOn:       reg.Histogram("memctrl.lat.on", lb),
 			latOff:      reg.Histogram("memctrl.lat.off", lb),
-			ring:        reg.Events(),
 			spans:       reg.Spans(),
 			series:      reg.Series(),
 			enabled:     true,
@@ -429,21 +424,18 @@ func (c *Controller) fail(err error) {
 	}
 }
 
-// auditAt runs the invariant auditor at a swap-step boundary at the given
-// cycle; quiescent selects the stricter no-swap-in-flight rules.
-func (c *Controller) auditAt(cycle int64, quiescent bool) {
+// audit runs the invariant auditor at a swap-step boundary; quiescent
+// selects the stricter no-swap-in-flight rules.
+func (c *Controller) audit(quiescent bool) {
 	if c.aud == nil {
 		return
 	}
 	var err error
-	var phase uint64
 	if quiescent {
 		err = c.aud.AuditQuiescent()
-		phase = 1
 	} else {
 		err = c.aud.AuditStep()
 	}
-	c.inst.ring.Emit(cycle, obs.EvAudit, phase, 0, 0)
 	if err != nil {
 		c.fail(err)
 	}
@@ -591,7 +583,6 @@ func (c *Controller) Access(phys uint64, write bool, now int64) error {
 			// have left behind.
 			if page := phys / c.cfg.Geometry.MacroPageSize; c.mig.Table().Pending(page) {
 				c.inst.pstalls.Inc()
-				c.inst.ring.Emit(now, obs.EvPStall, page, 0, 0)
 				c.inst.spans.Mark(obs.LaneMigrator, obs.MarkPStall, now, page, 0, 0)
 			}
 		}
@@ -599,7 +590,6 @@ func (c *Controller) Access(phys uint64, write bool, now int64) error {
 		epochsBefore := c.mig.Epochs()
 		subs := c.mig.EpochTick()
 		if epochs := c.mig.Epochs(); epochs != epochsBefore {
-			c.inst.ring.Emit(now, obs.EvEpoch, epochs, 0, 0)
 			c.inst.spans.Mark(obs.LaneMigrator, obs.MarkEpoch, now, epochs, 0, 0)
 			c.sampleSeries(now, false)
 			if c.cfg.OSAssisted {
@@ -608,7 +598,6 @@ func (c *Controller) Access(phys uint64, write bool, now int64) error {
 				// (Section III-B: ~127 cycles, Liedtke SOSP'93).
 				c.osPenalty += c.cfg.Latencies.OSEpochOverhead
 				c.inst.osPenalties.Inc()
-				c.inst.ring.Emit(now, obs.EvOSPenalty, uint64(c.cfg.Latencies.OSEpochOverhead), 0, 0)
 			}
 		}
 		if subs != nil {
@@ -931,7 +920,6 @@ func (c *Controller) regionOfMachine(machine uint64) bool {
 func (c *Controller) beginSwap(subs []core.SubCopy, now int64) error {
 	c.inst.swapStarts.Inc()
 	if mru, victim, _, _, ok := c.mig.CurrentPlan(); ok {
-		c.inst.ring.Emit(now, obs.EvSwapStart, mru, uint64(victim), 0)
 		c.swapMRU, c.swapVictim = mru, uint64(victim)
 	}
 	if c.mig.Design() == core.DesignN {
@@ -939,15 +927,27 @@ func (c *Controller) beginSwap(subs []core.SubCopy, now int64) error {
 	}
 	c.swapBegin, c.stepBegin = now, now
 	c.stepAttempts = 0
-	c.step = &stepState{subsLeft: len(subs)}
-	for _, sc := range subs {
-		c.enqueueReadLeg(sc, now)
-	}
+	c.issueStep(&stepState{subsLeft: len(subs)}, subs, now)
 	return nil
 }
 
-// enqueueReadLeg submits the source-side transfer of one sub-block.
-func (c *Controller) enqueueReadLeg(sc core.SubCopy, earliest int64) {
+// issueStep makes st the in-flight step and enqueues the read legs of its
+// copies. SubmitBulk may drain the scheduler reentrantly, and a leg drained
+// there can abort st (starting a rollback under a new step), so issuing
+// stops as soon as st is no longer the in-flight step: every leg belongs to
+// the step that issued it.
+func (c *Controller) issueStep(st *stepState, subs []core.SubCopy, earliest int64) {
+	c.step = st
+	for _, sc := range subs {
+		if c.step != st {
+			return
+		}
+		c.enqueueReadLeg(st, sc, earliest)
+	}
+}
+
+// enqueueReadLeg submits the source-side transfer of one sub-block of st.
+func (c *Controller) enqueueReadLeg(st *stepState, sc core.SubCopy, earliest int64) {
 	srcOn := c.regionOfMachine(sc.Src)
 	dstOn := c.regionOfMachine(sc.Dst)
 	job := c.newBulkJob()
@@ -955,7 +955,7 @@ func (c *Controller) enqueueReadLeg(sc core.SubCopy, earliest int64) {
 	job.Duration = c.subDuration(srcOn, sc.Bytes, sc.Exchange)
 	job.Earliest = earliest + c.cfg.CopyHop
 	meta := c.newLeg()
-	*meta = legMeta{step: c.step, sub: sc, isRead: true, dstOn: dstOn}
+	*meta = legMeta{step: st, sub: sc, isRead: true, dstOn: dstOn}
 	job.Meta = meta
 	c.submitBulk(srcOn, sc.Src, job)
 }
@@ -994,7 +994,6 @@ func (c *Controller) bulkDone(j *sched.BulkJob) {
 		return
 	}
 	if c.inj != nil && c.inj.Fault(fault.PointCopy) {
-		c.inst.ring.Emit(j.Done, obs.EvFault, uint64(fault.PointCopy), meta.sub.Dst, uint64(meta.attempts))
 		c.inst.spans.Mark(obs.LaneFault, obs.MarkFault, j.Done, uint64(fault.PointCopy), meta.sub.Dst, uint64(meta.attempts))
 		switch c.copyFaultVerdict(!meta.isRead, meta.sub.Dst, meta.dstOn, meta.attempts, st.undo, j.Done) {
 		case verdictRetry:
@@ -1057,10 +1056,6 @@ func (c *Controller) bulkDone(j *sched.BulkJob) {
 		c.onCopyDone(sub)
 	}
 	c.mig.SubDone(sub.SubIndex)
-	if c.inst.ring != nil {
-		pageSize := c.cfg.Geometry.MacroPageSize
-		c.inst.ring.Emit(done, obs.EvCopyDone, sub.Src/pageSize, sub.Dst/pageSize, sub.Bytes)
-	}
 	st.completed = append(st.completed, sub.SubIndex)
 	st.subsLeft--
 	if st.subsLeft > 0 {
@@ -1077,24 +1072,19 @@ func (c *Controller) bulkDone(j *sched.BulkJob) {
 		return
 	}
 	c.inst.swapSteps.Inc()
-	c.inst.ring.Emit(done, obs.EvSwapStep, mru, uint64(stepIdx), 0)
 	c.inst.spans.Span(obs.LaneMigrator, obs.SpanStep, c.stepBegin, done, mru, uint64(stepIdx), 0)
 	c.stepBegin = done
 	if swapDone {
 		c.inst.swapDone.Inc()
-		c.inst.ring.Emit(done, obs.EvSwapDone, mru, uint64(stepIdx+1), 0)
 		c.inst.spans.Span(obs.LaneMigrator, obs.SpanSwap, c.swapBegin, done, c.swapMRU, c.swapVictim, uint64(stepIdx+1))
-		c.auditAt(done, true)
+		c.audit(true)
 		c.step = nil
 		c.serviceQuiescent(done)
 		return
 	}
-	c.auditAt(done, false)
+	c.audit(false)
 	c.stepAttempts = 0
-	c.step = &stepState{subsLeft: len(next)}
-	for _, sc := range next {
-		c.enqueueReadLeg(sc, done)
-	}
+	c.issueStep(&stepState{subsLeft: len(next)}, next, done)
 }
 
 // runStalledSwap executes an N-design swap synchronously: all copy traffic
@@ -1132,7 +1122,6 @@ func (c *Controller) runStalledSwap(subs []core.SubCopy, now int64) error {
 				if c.inj == nil || !c.inj.Fault(fault.PointCopy) {
 					break
 				}
-				c.inst.ring.Emit(writeDone, obs.EvFault, uint64(fault.PointCopy), sc.Dst, uint64(attempts))
 				c.inst.spans.Mark(obs.LaneFault, obs.MarkFault, writeDone, uint64(fault.PointCopy), sc.Dst, uint64(attempts))
 				switch c.copyFaultVerdict(true, sc.Dst, dstOn, attempts, false, writeDone) {
 				case verdictAbort:
@@ -1143,7 +1132,6 @@ func (c *Controller) runStalledSwap(subs []core.SubCopy, now int64) error {
 				case verdictRetry:
 					attempts++
 					legStart = writeDone + c.retry.Delay(attempts)
-					c.inst.ring.Emit(writeDone, obs.EvFaultRetry, uint64(fault.PointCopy), uint64(attempts), uint64(legStart-writeDone))
 					c.inst.spans.Span(obs.LaneFault, obs.SpanBackoff, writeDone, legStart, uint64(fault.PointCopy), uint64(attempts), 0)
 				}
 			}
@@ -1166,7 +1154,6 @@ func (c *Controller) runStalledSwap(subs []core.SubCopy, now int64) error {
 		c.step = nil
 		start = last
 		if c.inj != nil && c.inj.Fault(fault.PointBulk) {
-			c.inst.ring.Emit(last, obs.EvFault, uint64(fault.PointBulk), 0, uint64(c.stepAttempts))
 			c.inst.spans.Mark(obs.LaneFault, obs.MarkFault, last, uint64(fault.PointBulk), 0, uint64(c.stepAttempts))
 			redo, abort := c.stepFaultVerdict(last)
 			if abort {
@@ -1182,16 +1169,14 @@ func (c *Controller) runStalledSwap(subs []core.SubCopy, now int64) error {
 			return err
 		}
 		c.inst.swapSteps.Inc()
-		c.inst.ring.Emit(last, obs.EvSwapStep, mru, uint64(stepIdx), 0)
 		c.inst.spans.Span(obs.LaneMigrator, obs.SpanStep, stepBegin, last, mru, uint64(stepIdx), 0)
 		if done {
 			c.inst.swapDone.Inc()
-			c.inst.ring.Emit(last, obs.EvSwapDone, mru, uint64(stepIdx+1), 0)
 			c.inst.spans.Span(obs.LaneMigrator, obs.SpanSwap, swapStart, last, c.swapMRU, c.swapVictim, uint64(stepIdx+1))
-			c.auditAt(last, true)
+			c.audit(true)
 			break
 		}
-		c.auditAt(last, false)
+		c.audit(false)
 		if err := c.firstErr; err != nil {
 			return err
 		}
@@ -1203,7 +1188,6 @@ func (c *Controller) runStalledSwap(subs []core.SubCopy, now int64) error {
 	}
 	if stalled := start - now; stalled > 0 {
 		c.inst.stallCycles.Add(uint64(stalled))
-		c.inst.ring.Emit(now, obs.EvStall, uint64(stalled), 0, 0)
 		c.inst.spans.Span(obs.LaneMigrator, obs.SpanStall, now, start, uint64(stalled), 0, 0)
 	}
 	c.stallUntil = start
@@ -1252,7 +1236,7 @@ func (c *Controller) Flush() int64 {
 	if c.mig != nil && c.mig.SwapInFlight() && c.firstErr == nil {
 		c.fail(fmt.Errorf("memctrl: flush finished with a swap still in flight"))
 	}
-	c.auditAt(last, true)
+	c.audit(true)
 	c.checkFaultLedger()
 	// The flush-time sample closes the series: its cumulative counters equal
 	// the final metrics snapshot, so the two can be reconciled.
@@ -1366,8 +1350,8 @@ func (c *Controller) Report() Report {
 	}
 	r.Faults = c.FaultReport()
 	if c.cache != nil {
-		st := c.policy.Stats()
-		r.Scheme = &SchemeReport{Name: c.policy.String(), Stats: st, HitRate: st.HitRate()}
+		st := c.cache.Stats()
+		r.Scheme = &SchemeReport{Name: c.cache.String(), Stats: st, HitRate: st.HitRate()}
 	}
 	return r
 }

@@ -200,7 +200,7 @@ func (c *Controller) SnapshotTo(e *snap.Encoder) {
 		// Scheme state (set array, tag buffer, predictor, stats). Under
 		// memcache this is the cache part only: the migrator already rode
 		// the mig slot above.
-		c.policy.SnapshotTo(e)
+		c.cache.SnapshotTo(e)
 	}
 }
 
@@ -491,7 +491,7 @@ func (c *Controller) RestoreFrom(d *snap.Decoder) error {
 	}
 
 	if c.cache != nil {
-		if err := c.policy.RestoreFrom(d); err != nil {
+		if err := c.cache.RestoreFrom(d); err != nil {
 			return err
 		}
 	}

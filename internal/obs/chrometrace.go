@@ -56,58 +56,34 @@ func (e chromeEvent) MarshalJSON() ([]byte, error) {
 
 // chromeTrace is the top-level JSON object format.
 type chromeTrace struct {
-	TraceEvents []chromeEvent `json:"traceEvents"`
-	// displayTimeUnit must be "ms" or "ns"; "ns" keeps the axis closest to
-	// raw cycle numbers.
-	DisplayTimeUnit string `json:"displayTimeUnit"`
+	TraceEvents     []chromeEvent `json:"traceEvents"`
+	DisplayTimeUnit string        `json:"displayTimeUnit"` // "ms" or "ns"
 }
 
 // tracePID is the single simulated process in the exported trace.
 const tracePID = 1
 
-// WriteChromeTrace serializes spans as Chrome trace-event JSON onto w.
-// Spans are sorted by begin cycle (stable across runs of the same
-// simulation); zero-duration spans become instant events.
+// WriteChromeTrace serializes spans as Chrome trace-event JSON onto w: one
+// thread per Lane, in lane order, each span categorized by its lane and
+// carrying its A/B/C payload as args. Spans are sorted by begin cycle
+// (stable across runs of the same simulation); zero-duration spans become
+// instant events.
 func WriteChromeTrace(w io.Writer, spans []Span) error {
-	sorted := append([]Span(nil), spans...)
-	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Begin < sorted[j].Begin })
-
-	events := make([]chromeEvent, 0, len(sorted)+int(laneEnd)+1)
-	events = append(events, chromeEvent{
-		Name: "process_name", Phase: "M", PID: tracePID, TID: 0,
-		MetaArgs: map[string]interface{}{"name": "hmsim"},
-	})
-	for lane := Lane(0); lane < laneEnd; lane++ {
-		events = append(events,
-			chromeEvent{
-				Name: "thread_name", Phase: "M", PID: tracePID, TID: int(lane),
-				MetaArgs: map[string]interface{}{"name": lane.String()},
-			},
-			chromeEvent{
-				Name: "thread_sort_index", Phase: "M", PID: tracePID, TID: int(lane),
-				MetaArgs: map[string]interface{}{"sort_index": int(lane)},
-			})
+	lanes := make([]string, laneEnd)
+	for l := range lanes {
+		lanes[l] = Lane(l).String()
 	}
-	for _, s := range sorted {
-		ev := chromeEvent{
-			Name: s.Kind.String(),
-			Cat:  s.Lane.String(),
-			TS:   s.Begin,
-			PID:  tracePID,
-			TID:  int(s.Lane),
+	named := make([]NamedSpan, len(spans))
+	for i, s := range spans {
+		lane := s.Lane.String()
+		named[i] = NamedSpan{
+			Lane: lane, Name: s.Kind.String(), Cat: lane, Begin: s.Begin, End: s.End,
 			Args: map[string]uint64{"a": s.A, "b": s.B, "c": s.C},
 		}
-		if d := s.Duration(); d > 0 {
-			ev.Phase = "X"
-			ev.Dur = &d
-		} else {
-			ev.Phase = "i"
-			ev.Scope = "t" // thread-scoped instant
-		}
-		events = append(events, ev)
 	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(chromeTrace{TraceEvents: events, DisplayTimeUnit: "ns"})
+	// displayTimeUnit must be "ms" or "ns"; "ns" keeps the axis closest to
+	// raw cycle numbers.
+	return writeChrome(w, "hmsim", "ns", lanes, named)
 }
 
 // NamedSpan is one interval (or instant, when Begin == End) on a named
@@ -131,6 +107,14 @@ type NamedSpan struct {
 // (stable), zero-duration spans become thread-scoped instant events —
 // the same conventions as WriteChromeTrace, in the wall-clock domain.
 func WriteChromeTimeline(w io.Writer, lanes []string, spans []NamedSpan) error {
+	// Wall-clock microseconds: "ms" keeps the viewer's axis in real time.
+	return writeChrome(w, "hmsim fleet", "ms", lanes, spans)
+}
+
+// writeChrome is the one trace-event encoder: a process_name row, a
+// thread_name and thread_sort_index row per lane, then the spans sorted by
+// begin time as complete ("X") or thread-scoped instant ("i") events.
+func writeChrome(w io.Writer, process, unit string, lanes []string, spans []NamedSpan) error {
 	tids := make(map[string]int, len(lanes))
 	order := append([]string(nil), lanes...)
 	for _, lane := range lanes {
@@ -151,7 +135,7 @@ func WriteChromeTimeline(w io.Writer, lanes []string, spans []NamedSpan) error {
 	events := make([]chromeEvent, 0, len(sorted)+2*len(order)+1)
 	events = append(events, chromeEvent{
 		Name: "process_name", Phase: "M", PID: tracePID, TID: 0,
-		MetaArgs: map[string]interface{}{"name": "hmsim fleet"},
+		MetaArgs: map[string]interface{}{"name": process},
 	})
 	for i, lane := range order {
 		events = append(events,
@@ -174,16 +158,13 @@ func WriteChromeTimeline(w io.Writer, lanes []string, spans []NamedSpan) error {
 			Args: s.Args,
 		}
 		if d := s.End - s.Begin; d > 0 {
-			dur := d
 			ev.Phase = "X"
-			ev.Dur = &dur
+			ev.Dur = &d
 		} else {
 			ev.Phase = "i"
 			ev.Scope = "t"
 		}
 		events = append(events, ev)
 	}
-	enc := json.NewEncoder(w)
-	// Wall-clock microseconds: "ms" keeps the viewer's axis in real time.
-	return enc.Encode(chromeTrace{TraceEvents: events, DisplayTimeUnit: "ms"})
+	return json.NewEncoder(w).Encode(chromeTrace{TraceEvents: events, DisplayTimeUnit: unit})
 }

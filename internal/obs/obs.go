@@ -1,7 +1,8 @@
 // Package obs is the simulator's observability substrate: a metrics
-// registry (monotonic counters, gauges, fixed-bucket latency histograms)
-// and an optional structured event trace (a ring buffer of migration,
-// swap, stall, and routing events with cycle timestamps).
+// registry (monotonic counters, gauges, fixed-bucket latency histograms),
+// an optional cycle-domain span trace (swap lifecycles, copy legs, stalls,
+// the fault ladder, and instant marks such as epochs and P-bit redirects),
+// and an optional per-epoch time series.
 //
 // The design goal is zero allocation and near-zero cost on hot paths:
 //
@@ -216,7 +217,6 @@ type Registry struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
-	ring     *EventRing
 	spans    *SpanTracer
 	series   *SeriesSampler
 }
@@ -273,27 +273,6 @@ func (r *Registry) Histogram(name string, bounds []int64) *Histogram {
 		r.hists[name] = h
 	}
 	return h
-}
-
-// EnableEvents attaches an event ring of the given capacity (idempotent;
-// the first capacity wins). No-op on a nil registry.
-func (r *Registry) EnableEvents(capacity int) *EventRing {
-	if r == nil {
-		return nil
-	}
-	if r.ring == nil && capacity > 0 {
-		r.ring = NewEventRing(capacity)
-	}
-	return r.ring
-}
-
-// Events returns the attached event ring (nil when events are disabled;
-// a nil ring is a valid no-op sink).
-func (r *Registry) Events() *EventRing {
-	if r == nil {
-		return nil
-	}
-	return r.ring
 }
 
 // EnableSpans attaches a span tracer of the given capacity (idempotent;

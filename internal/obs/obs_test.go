@@ -12,21 +12,21 @@ func TestNilSafety(t *testing.T) {
 	c := r.Counter("x")
 	g := r.Gauge("y")
 	h := r.Histogram("z", DefaultLatencyBuckets())
-	ring := r.Events()
+	spans := r.Spans()
 	c.Inc()
 	c.Add(7)
 	g.Set(3)
 	g.Add(1)
 	h.Observe(100)
-	ring.Emit(1, EvEpoch, 0, 0, 0)
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || ring.Total() != 0 {
+	spans.Mark(LaneMigrator, MarkEpoch, 1, 0, 0, 0)
+	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || spans.Total() != 0 {
 		t.Fatal("nil instruments recorded something")
 	}
 	if r.Snapshot() != nil {
 		t.Fatal("nil registry produced a snapshot")
 	}
-	if r.EnableEvents(8) != nil {
-		t.Fatal("nil registry produced an event ring")
+	if r.EnableSpans(8) != nil {
+		t.Fatal("nil registry produced a span tracer")
 	}
 }
 
@@ -86,34 +86,6 @@ func TestExpBuckets(t *testing.T) {
 	}
 }
 
-func TestEventRingWraparound(t *testing.T) {
-	ring := NewEventRing(3)
-	for i := 0; i < 5; i++ {
-		ring.Emit(int64(i), EvSwapStart, uint64(i), 0, 0)
-	}
-	if ring.Total() != 5 {
-		t.Fatalf("total = %d", ring.Total())
-	}
-	evs := ring.Events()
-	if len(evs) != 3 {
-		t.Fatalf("retained %d events", len(evs))
-	}
-	for i, ev := range evs {
-		if ev.Cycle != int64(i+2) {
-			t.Fatalf("event %d cycle = %d, want %d (oldest-first)", i, ev.Cycle, i+2)
-		}
-	}
-}
-
-func TestEventRingPartial(t *testing.T) {
-	ring := NewEventRing(8)
-	ring.Emit(10, EvPStall, 42, 0, 0)
-	evs := ring.Events()
-	if len(evs) != 1 || evs[0].A != 42 || evs[0].Kind != EvPStall {
-		t.Fatalf("events = %+v", evs)
-	}
-}
-
 func TestSnapshotJSON(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("memctrl.swap.completed").Add(2)
@@ -135,14 +107,6 @@ func TestSnapshotJSON(t *testing.T) {
 	}
 	if h := back.Histograms["memctrl.qlat.on"]; h.Count != 1 || len(h.Counts) != 3 {
 		t.Fatalf("roundtrip histogram: %+v", h)
-	}
-	// Event kinds marshal as names.
-	eb, err := json.Marshal(Event{Cycle: 7, Kind: EvSwapDone, A: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(eb) != `{"cycle":7,"kind":"swap-done","a":1,"b":0,"c":0}` {
-		t.Fatalf("event json = %s", eb)
 	}
 }
 
@@ -188,13 +152,5 @@ func BenchmarkHistogramObserve(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		h.Observe(int64(i & 4095))
-	}
-}
-
-func BenchmarkEventEmit(b *testing.B) {
-	ring := NewEventRing(1024)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		ring.Emit(int64(i), EvCopyDone, 1, 2, 4096)
 	}
 }

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"math"
-	"strings"
 	"testing"
 )
 
@@ -86,47 +85,6 @@ func TestRegistrySeriesLifecycle(t *testing.T) {
 	}
 	if again := r.EnableSeries(99); again != s {
 		t.Fatal("EnableSeries must be idempotent")
-	}
-}
-
-func TestEventRingDropped(t *testing.T) {
-	var nilRing *EventRing
-	if nilRing.Dropped() != 0 {
-		t.Fatal("nil ring Dropped")
-	}
-	r := NewEventRing(4)
-	for i := int64(0); i < 4; i++ {
-		r.Emit(i, EvEpoch, uint64(i), 0, 0)
-	}
-	if r.Dropped() != 0 {
-		t.Fatalf("Dropped = %d before overflow, want 0", r.Dropped())
-	}
-	r.Emit(4, EvEpoch, 4, 0, 0)
-	r.Emit(5, EvEpoch, 5, 0, 0)
-	if r.Dropped() != 2 {
-		t.Fatalf("Dropped = %d, want 2", r.Dropped())
-	}
-	if got := r.Total() - uint64(len(r.Events())); got != r.Dropped() {
-		t.Fatalf("Dropped inconsistent with Total-retained: %d vs %d", r.Dropped(), got)
-	}
-}
-
-// Every EventKind must have a real name so traces never show
-// "EventKind(n)" for a shipped kind.
-func TestEventKindStringExhaustive(t *testing.T) {
-	seen := map[string]EventKind{}
-	for k := EventKind(1); k < evKindEnd; k++ {
-		name := k.String()
-		if strings.HasPrefix(name, "EventKind(") {
-			t.Errorf("EventKind %d has no name", k)
-		}
-		if prev, dup := seen[name]; dup {
-			t.Errorf("EventKind %d and %d share name %q", prev, k, name)
-		}
-		seen[name] = k
-	}
-	if EventKind(0).String() != "EventKind(0)" {
-		t.Error("out-of-range kinds must render as EventKind(n)")
 	}
 }
 

@@ -51,7 +51,7 @@ const (
 	SpanCopyRead                      // source leg of one sub-block copy; A=src machine page, B=sub index, C=bytes
 	SpanCopyWrite                     // destination leg of one sub-block copy; A=dst machine page, B=sub index, C=bytes
 	SpanStall                         // N-design execution stall; A=stall cycles
-	SpanRollback                      // swap abort -> table restored; A=MRU page, B=undo copies
+	SpanRollback                      // swap abort -> table restored; A=MRU page, B=1 if the undo was abandoned
 	SpanBackoff                       // fault-retry backoff window; A=injection point, B=attempt
 	SpanRetire                        // slot retirement evacuation; A=slot, B=spare machine page
 	MarkEpoch                         // instant: monitoring epoch boundary; A=epoch index
@@ -113,10 +113,10 @@ type Span struct {
 // Duration returns the span length in cycles (0 for instant marks).
 func (s Span) Duration() int64 { return s.End - s.Begin }
 
-// SpanTracer records cycle-domain spans into a bounded buffer. Unlike the
-// event ring it keeps the earliest spans and counts the overflow: a trace
-// is most useful from the beginning, and the dropped count makes the
-// truncation visible (no silent caps).
+// SpanTracer records cycle-domain spans into a bounded buffer. It keeps
+// the earliest spans and counts the overflow: a trace is most useful from
+// the beginning, and the dropped count makes the truncation visible (no
+// silent caps).
 //
 // Every method is nil-safe, matching the instrument idiom: a component
 // wired against a disabled registry holds a nil tracer and recording is a

@@ -83,13 +83,10 @@ func NewAlloy(spec Spec, capacity, base, blockBytes uint64) (*Alloy, error) {
 	return a, nil
 }
 
-// Kind implements Scheme.
-func (a *Alloy) Kind() Kind { return a.spec.Kind }
-
-// String implements Scheme.
+// String implements Cache.
 func (a *Alloy) String() string { return a.spec.String() }
 
-// Stats implements Scheme.
+// Stats implements Cache.
 func (a *Alloy) Stats() Stats { return a.stats }
 
 // BlockBytes implements Cache.

@@ -36,13 +36,10 @@ func NewMemCache(spec Spec, capacity, pageSize, blockBytes uint64) (*MemCache, e
 	return &MemCache{spec: spec, memBytes: mem, part: part}, nil
 }
 
-// Kind implements Scheme.
-func (m *MemCache) Kind() Kind { return KindMemCache }
-
-// String implements Scheme.
+// String implements Cache.
 func (m *MemCache) String() string { return m.spec.String() }
 
-// Stats implements Scheme (the cache part's counters).
+// Stats implements Cache (the cache part's counters).
 func (m *MemCache) Stats() Stats { return m.part.Stats() }
 
 // MemBytes returns the memory-part capacity: the boundary between the

@@ -8,10 +8,11 @@
 // argues against manages the same capacity as a *cache* (AlloyCache, the
 // tag-in-DRAM L4 "CacheMode" strawman of the paper's own Section II), and
 // "Die-Stacked DRAM: Memory, Cache, or MemCache?" splits it into both. All
-// of these are Scheme implementations, selected by Spec, so the sweep,
-// checkpoint, and fleet machinery race them under one harness:
+// of these are selected by Spec, so the sweep, checkpoint, and fleet
+// machinery race them under one harness. Every scheme but migrate runs a
+// Cache engine in the controller:
 //
-//	migrate    — the paper's designs; a pure delegation to core.Migrator
+//	migrate    — the paper's designs, driven by core.Migrator (no Cache)
 //	alloy      — direct-mapped, tag-and-data fused in one burst (TAD)
 //	alloy-pred — alloy plus a miss predictor (MAP-style, address-indexed)
 //	cachemode  — set-associative tag-in-DRAM L4 with an SRAM tag buffer
@@ -239,20 +240,15 @@ type Result struct {
 	VictimRead bool
 }
 
-// Scheme is the on-package capacity policy. Every implementation is a
-// snap.Snapshotter: its state rides in the controller checkpoint so
-// resume-equivalence and distributed-sweep takeover hold per scheme.
-type Scheme interface {
-	Kind() Kind
+// Cache is the block-grain engine behind the cache-managed schemes. Lookup
+// must not allocate: it is on the per-record access path. Every
+// implementation is a snap.Snapshotter: its state rides in the controller
+// checkpoint so resume-equivalence and distributed-sweep takeover hold per
+// scheme.
+type Cache interface {
 	String() string
 	Stats() Stats
 	snap.Snapshotter
-}
-
-// Cache is the block-grain engine behind the cache-managed schemes. Lookup
-// must not allocate: it is on the per-record access path.
-type Cache interface {
-	Scheme
 	Lookup(phys uint64, write bool) Result
 	BlockBytes() uint64
 }

@@ -183,7 +183,7 @@ func TestMemCacheSplit(t *testing.T) {
 
 // roundTrip snapshots s into a fresh encoder section and restores it into
 // fresh.
-func roundTrip(t *testing.T, s, fresh Scheme) {
+func roundTrip(t *testing.T, s, fresh Cache) {
 	t.Helper()
 	e := snap.NewEncoder()
 	e.Section("scheme")
@@ -248,14 +248,4 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err := small.RestoreFrom(d); err == nil {
 		t.Fatal("shape mismatch accepted")
 	}
-}
-
-func TestMigrateDelegation(t *testing.T) {
-	m := &Migrate{}
-	if m.Kind() != KindMigrate || m.String() != "migrate" || m.Stats() != (Stats{}) {
-		t.Fatalf("migrate scheme surface: %v %q %+v", m.Kind(), m.String(), m.Stats())
-	}
-	// nil migrator (static mapping) snapshots to nothing and restores from
-	// nothing.
-	roundTrip(t, m, &Migrate{})
 }

@@ -47,13 +47,10 @@ func NewTagCache(spec Spec, capacity, blockBytes uint64) (*TagCache, error) {
 	}, nil
 }
 
-// Kind implements Scheme.
-func (t *TagCache) Kind() Kind { return KindCacheMode }
-
-// String implements Scheme.
+// String implements Cache.
 func (t *TagCache) String() string { return t.spec.String() }
 
-// Stats implements Scheme.
+// Stats implements Cache.
 func (t *TagCache) Stats() Stats { return t.stats }
 
 // BlockBytes implements Cache.

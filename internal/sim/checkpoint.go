@@ -89,8 +89,6 @@ func checkpointIncompatible(cfg Config) error {
 	switch {
 	case cfg.Metrics:
 		return fmt.Errorf("sim: checkpointing is incompatible with Metrics collection")
-	case cfg.EventTrace > 0:
-		return fmt.Errorf("sim: checkpointing is incompatible with EventTrace collection")
 	case cfg.SpanTrace > 0:
 		return fmt.Errorf("sim: checkpointing is incompatible with SpanTrace collection")
 	case cfg.EpochSeries > 0:

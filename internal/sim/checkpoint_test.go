@@ -327,7 +327,6 @@ func TestCheckpointRejectsObservability(t *testing.T) {
 		enable func(*Config)
 	}{
 		{"Metrics", func(c *Config) { c.Metrics = true }},
-		{"EventTrace", func(c *Config) { c.EventTrace = 64 }},
 		{"SpanTrace", func(c *Config) { c.SpanTrace = 64 }},
 		{"EpochSeries", func(c *Config) { c.EpochSeries = 64 }},
 	} {

@@ -128,13 +128,12 @@ func TestResumeEquivalenceSharded(t *testing.T) {
 
 // TestShardedDeterminism is the bit-reproducibility contract of the
 // parallel execution: the same channels=4 configuration — with every
-// observability collector attached, so events, spans, and series are part
+// observability collector attached, so spans, series, and metrics are part
 // of the comparison — run five times under each of GOMAXPROCS 1, 2, and 8
 // must produce byte-identical canonical JSON every single time.
 func TestShardedDeterminism(t *testing.T) {
 	cfg := shardedConfig(4, core.DesignLive, true)
 	cfg.Metrics = true
-	cfg.EventTrace = 512
 	cfg.SpanTrace = 1024
 	cfg.EpochSeries = 64
 

@@ -88,12 +88,6 @@ type Config struct {
 	// per record.
 	Metrics bool
 
-	// EventTrace, when positive, keeps a ring buffer of the last N
-	// structured pipeline events (epoch ticks, swap steps, P-bit stalls,
-	// copy completions, audits) and returns them in Result.Events.
-	// Implies Metrics.
-	EventTrace int
-
 	// SpanTrace, when positive, records up to N cycle-domain spans (swap
 	// lifecycles, copy legs, stalls, rollbacks, fault ladders) into
 	// Result.Spans, exportable as Chrome trace-event JSON. Implies Metrics.
@@ -122,7 +116,7 @@ type Config struct {
 	// every that many records and hands it to CheckpointSink. A run resumed
 	// from any such checkpoint produces a Result identical to the
 	// uninterrupted run. Incompatible with the observability collectors
-	// (Metrics, EventTrace, SpanTrace, EpochSeries).
+	// (Metrics, SpanTrace, EpochSeries).
 	CheckpointEvery uint64
 
 	// CheckpointSink receives each checkpoint (the encoded snapshot and the
@@ -165,18 +159,9 @@ type Result struct {
 	EnergyPJ        float64
 	NormalizedPower float64
 
-	// Metrics is the observability snapshot (nil unless Config.Metrics or
-	// Config.EventTrace was set).
+	// Metrics is the observability snapshot (nil unless Config.Metrics,
+	// Config.SpanTrace, or Config.EpochSeries was set).
 	Metrics *obs.Snapshot `json:",omitempty"`
-
-	// Events is the tail of the structured event trace, oldest first
-	// (nil unless Config.EventTrace was set). EventsTotal counts every
-	// event emitted over the run, including those the ring dropped;
-	// EventsDropped is how many the ring overwrote (non-zero means the
-	// trace is truncated at the front — no silent caps).
-	Events        []obs.Event `json:",omitempty"`
-	EventsTotal   uint64      `json:",omitempty"`
-	EventsDropped uint64      `json:",omitempty"`
 
 	// Spans is the cycle-domain span trace, earliest-first (nil unless
 	// Config.SpanTrace was set); SpansDropped counts spans discarded once
@@ -252,14 +237,13 @@ func RunContext(ctx context.Context, src trace.Source, cfg Config) (Result, erro
 		}
 	}
 	n := max(cfg.Channels, 1)
-	observed := cfg.Metrics || cfg.EventTrace > 0 || cfg.SpanTrace > 0 || cfg.EpochSeries > 0
+	observed := cfg.Metrics || cfg.SpanTrace > 0 || cfg.EpochSeries > 0
 	regs := make([]*obs.Registry, n)
 	meters := make([]*power.Meter, n)
 	for i := 0; i < n; i++ {
 		if observed {
 			// Each Enable is a no-op for a non-positive capacity.
 			regs[i] = obs.NewRegistry()
-			regs[i].EnableEvents(cfg.EventTrace)
 			regs[i].EnableSpans(cfg.SpanTrace)
 			regs[i].EnableSeries(cfg.EpochSeries)
 		}
@@ -391,11 +375,6 @@ func RunContext(ctx context.Context, src trace.Source, cfg Config) (Result, erro
 		}
 		res.Metrics = obs.MergeSnapshots(snaps...)
 		for _, reg := range regs {
-			if ring := reg.Events(); ring != nil {
-				res.Events = append(res.Events, ring.Events()...)
-				res.EventsTotal += ring.Total()
-				res.EventsDropped += ring.Dropped()
-			}
 			if tr := reg.Spans(); tr != nil {
 				res.Spans = append(res.Spans, tr.Spans()...)
 				res.SpansDropped += tr.Dropped()

@@ -5,51 +5,6 @@ import (
 	"testing"
 )
 
-// TestCounterMergeFoldOrderIndependent pins the per-channel counter fold:
-// merging the same set of shard counters in any completion order must
-// produce identical values and identical (sorted) name order.
-func TestCounterMergeFoldOrderIndependent(t *testing.T) {
-	shards := make([]*Counter, 4)
-	for i := range shards {
-		c := NewCounter()
-		c.Inc("swaps", uint64(10*(i+1)))
-		c.Inc("stalls", uint64(i))
-		if i%2 == 0 {
-			c.Inc("rollbacks", 1) // present on only some shards
-		}
-		shards[i] = c
-	}
-
-	fold := func(order []int) *Counter {
-		total := NewCounter()
-		for _, i := range order {
-			total.Merge(shards[i])
-		}
-		return total
-	}
-
-	want := fold([]int{0, 1, 2, 3}).Snapshot()
-	rng := rand.New(rand.NewSource(1))
-	for trial := 0; trial < 20; trial++ {
-		order := rng.Perm(len(shards))
-		if got := fold(order).Snapshot(); got != want {
-			t.Fatalf("fold order %v diverged:\n got %s\nwant %s", order, got, want)
-		}
-	}
-
-	total := fold([]int{0, 1, 2, 3})
-	if got := total.Get("swaps"); got != 100 {
-		t.Fatalf("swaps = %d, want 100", got)
-	}
-	if got := total.Get("rollbacks"); got != 2 {
-		t.Fatalf("rollbacks = %d, want 2", got)
-	}
-	total.Merge(nil) // nil shard (e.g. an instrument only some channels have)
-	if got := total.Get("swaps"); got != 100 {
-		t.Fatalf("nil merge changed swaps to %d", got)
-	}
-}
-
 // TestHistogramMergeMatchesCombinedStream: merging per-shard histograms
 // must equal the histogram of the combined stream, so a sharded P95 is
 // exactly the unsharded one.

@@ -6,7 +6,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -160,143 +159,6 @@ func (h *Histogram) Merge(other *Histogram) {
 		h.buckets[i] += c
 	}
 	h.total += other.total
-}
-
-// Counter is a named monotonic counter set. It is a convenience API for
-// report-time accounting; code on a per-record hot path should use a
-// CounterSet, which replaces the string hashing with an array index.
-type Counter struct {
-	names  []string
-	values map[string]uint64
-}
-
-// NewCounter returns an empty counter set.
-func NewCounter() *Counter {
-	return &Counter{values: make(map[string]uint64)}
-}
-
-// Inc adds delta to name, creating it at zero if absent.
-func (c *Counter) Inc(name string, delta uint64) {
-	if _, ok := c.values[name]; !ok {
-		c.names = append(c.names, name)
-	}
-	c.values[name] += delta
-}
-
-// Get returns the current value of name, registering it at zero if absent:
-// a read is a declaration of interest, so the name shows up in Names and
-// Snapshot instead of silently vanishing from reports.
-func (c *Counter) Get(name string) uint64 {
-	v, ok := c.values[name]
-	if !ok {
-		c.names = append(c.names, name)
-		c.values[name] = 0
-	}
-	return v
-}
-
-// Merge folds other's counters into c, summing values name by name. Names
-// only c has keep their values; names only other has are registered. Since
-// Names and Snapshot sort, the merged report is identical no matter the
-// order counters were folded in — shards can finish in any order.
-func (c *Counter) Merge(other *Counter) {
-	if other == nil {
-		return
-	}
-	for _, name := range other.names {
-		c.Inc(name, other.values[name])
-	}
-}
-
-// Names returns the registered counter names in sorted order, so report
-// output is deterministic regardless of first-use order.
-func (c *Counter) Names() []string {
-	names := append([]string(nil), c.names...)
-	sort.Strings(names)
-	return names
-}
-
-// Snapshot returns a sorted name=value dump.
-func (c *Counter) Snapshot() string {
-	var b strings.Builder
-	for i, k := range c.Names() {
-		if i > 0 {
-			b.WriteByte(' ')
-		}
-		fmt.Fprintf(&b, "%s=%d", k, c.values[k])
-	}
-	return b.String()
-}
-
-// CounterID indexes one counter of a CounterSet.
-type CounterID int
-
-// CounterSet is a fixed, enum-indexed set of monotonic counters: the hot
-// path increments a slot by integer index (one bounds-checked array write,
-// no hashing, no allocation) and the string names are only consulted at
-// report time. Declare the IDs as an iota enum matching the construction
-// order of the names.
-type CounterSet struct {
-	names  []string
-	values []uint64
-}
-
-// NewCounterSet builds a set with one slot per name, all zero.
-func NewCounterSet(names ...string) *CounterSet {
-	return &CounterSet{
-		names:  append([]string(nil), names...),
-		values: make([]uint64, len(names)),
-	}
-}
-
-// Inc adds delta to counter id. Out-of-range IDs are ignored.
-func (c *CounterSet) Inc(id CounterID, delta uint64) {
-	if id >= 0 && int(id) < len(c.values) {
-		c.values[id] += delta
-	}
-}
-
-// Get returns counter id's value (zero for out-of-range IDs).
-func (c *CounterSet) Get(id CounterID) uint64 {
-	if id >= 0 && int(id) < len(c.values) {
-		return c.values[id]
-	}
-	return 0
-}
-
-// Name returns counter id's report-time name.
-func (c *CounterSet) Name(id CounterID) string {
-	if id >= 0 && int(id) < len(c.names) {
-		return c.names[id]
-	}
-	return ""
-}
-
-// Len returns the number of counters.
-func (c *CounterSet) Len() int { return len(c.values) }
-
-// Reset zeroes every counter, keeping the names.
-func (c *CounterSet) Reset() {
-	for i := range c.values {
-		c.values[i] = 0
-	}
-}
-
-// Snapshot returns a sorted name=value dump, matching Counter.Snapshot.
-func (c *CounterSet) Snapshot() string {
-	idx := make([]int, len(c.names))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return c.names[idx[a]] < c.names[idx[b]] })
-	var b strings.Builder
-	for i, k := range idx {
-		if i > 0 {
-			b.WriteByte(' ')
-		}
-		fmt.Fprintf(&b, "%s=%d", c.names[k], c.values[k])
-	}
-	return b.String()
 }
 
 // Table renders aligned fixed-width tables for experiment output.

@@ -3,7 +3,6 @@ package stats
 import (
 	"math"
 	"math/rand"
-	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -98,95 +97,6 @@ func TestHistogramNegativeClamps(t *testing.T) {
 	h.Add(-5)
 	if h.Total() != 1 || h.Bucket(0) != 1 {
 		t.Fatal("negative sample not clamped to bucket 0")
-	}
-}
-
-func TestCounter(t *testing.T) {
-	c := NewCounter()
-	c.Inc("a", 2)
-	c.Inc("b", 1)
-	c.Inc("a", 3)
-	if c.Get("a") != 5 || c.Get("b") != 1 {
-		t.Fatalf("counter values wrong: %s", c.Snapshot())
-	}
-	if got := c.Snapshot(); got != "a=5 b=1" {
-		t.Fatalf("snapshot = %q", got)
-	}
-	if names := c.Names(); len(names) != 2 || names[0] != "a" {
-		t.Fatalf("names = %v", names)
-	}
-}
-
-// Report-time ordering must be sorted by name, not first-use order, so two
-// runs that touch counters in different orders render identical reports.
-func TestCounterDeterministicOrder(t *testing.T) {
-	c := NewCounter()
-	c.Inc("zeta", 1)
-	c.Inc("alpha", 2)
-	c.Inc("mid", 3)
-	if names := c.Names(); !sort.StringsAreSorted(names) {
-		t.Fatalf("Names not sorted: %v", names)
-	}
-	if got := c.Snapshot(); got != "alpha=2 mid=3 zeta=1" {
-		t.Fatalf("snapshot = %q", got)
-	}
-}
-
-// Reading an absent name registers it at zero: the name appears in reports
-// instead of silently vanishing.
-func TestCounterGetRegisters(t *testing.T) {
-	c := NewCounter()
-	c.Inc("hits", 4)
-	if v := c.Get("misses"); v != 0 {
-		t.Fatalf("absent counter = %d, want 0", v)
-	}
-	if got := c.Snapshot(); got != "hits=4 misses=0" {
-		t.Fatalf("snapshot after Get = %q", got)
-	}
-	if names := c.Names(); len(names) != 2 {
-		t.Fatalf("names = %v, want both registered", names)
-	}
-}
-
-func TestCounterSet(t *testing.T) {
-	const (
-		ctrHits CounterID = iota
-		ctrMisses
-		ctrEvicts
-	)
-	s := NewCounterSet("hits", "misses", "evicts")
-	s.Inc(ctrHits, 2)
-	s.Inc(ctrMisses, 1)
-	s.Inc(ctrHits, 3)
-	s.Inc(-1, 99)           // ignored
-	s.Inc(CounterID(7), 99) // ignored
-	if s.Get(ctrHits) != 5 || s.Get(ctrMisses) != 1 || s.Get(ctrEvicts) != 0 {
-		t.Fatalf("values wrong: %s", s.Snapshot())
-	}
-	if s.Get(CounterID(7)) != 0 {
-		t.Fatal("out-of-range Get not zero")
-	}
-	if s.Name(ctrEvicts) != "evicts" || s.Name(-1) != "" {
-		t.Fatal("Name lookup wrong")
-	}
-	if s.Len() != 3 {
-		t.Fatalf("Len = %d", s.Len())
-	}
-	if got := s.Snapshot(); got != "evicts=0 hits=5 misses=1" {
-		t.Fatalf("snapshot = %q", got)
-	}
-	s.Reset()
-	if got := s.Snapshot(); got != "evicts=0 hits=0 misses=0" {
-		t.Fatalf("snapshot after reset = %q", got)
-	}
-}
-
-func TestCounterSetZeroAlloc(t *testing.T) {
-	const ctrA CounterID = 0
-	s := NewCounterSet("a", "b")
-	allocs := testing.AllocsPerRun(1000, func() { s.Inc(ctrA, 1) })
-	if allocs != 0 {
-		t.Fatalf("CounterSet.Inc allocates %.1f/op, want 0", allocs)
 	}
 }
 

@@ -11,15 +11,15 @@ import (
 
 // TestDeterministicRuns locks in reproducibility: the same workload, seed,
 // and configuration must yield a byte-identical Result — including the full
-// metrics snapshot and event trace — across two independent runs.
+// metrics snapshot and span trace — across two independent runs.
 func TestDeterministicRuns(t *testing.T) {
 	run := func() heteromem.Result {
 		t.Helper()
 		sys, err := heteromem.New(heteromem.Config{
-			Migration:  heteromem.Migration{Enabled: true, Design: heteromem.DesignLive, SwapInterval: 1000},
-			Metrics:    true,
-			EventTrace: 512,
-			Audit:      true,
+			Migration: heteromem.Migration{Enabled: true, Design: heteromem.DesignLive, SwapInterval: 1000},
+			Metrics:   true,
+			SpanTrace: 512,
+			Audit:     true,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -45,8 +45,8 @@ func TestDeterministicRuns(t *testing.T) {
 	if string(ja) != string(jb) {
 		t.Fatal("two identical runs produced different JSON encodings")
 	}
-	if a.Metrics == nil || len(a.Events) == 0 {
-		t.Fatal("metrics snapshot or event trace missing from the result")
+	if a.Metrics == nil || len(a.Spans) == 0 {
+		t.Fatal("metrics snapshot or span trace missing from the result")
 	}
 }
 
@@ -94,7 +94,7 @@ func TestMillionRecordAuditZeroViolations(t *testing.T) {
 }
 
 // TestMetricsDisabledByDefault confirms the zero-cost default: no metrics
-// config means no snapshot and no events in the result.
+// config means no snapshot and no spans in the result.
 func TestMetricsDisabledByDefault(t *testing.T) {
 	sys, err := heteromem.New(heteromem.Config{
 		Migration: heteromem.Migration{Enabled: true, Design: heteromem.DesignN1, SwapInterval: 1000},
@@ -106,7 +106,7 @@ func TestMetricsDisabledByDefault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Metrics != nil || res.Events != nil {
-		t.Fatal("metrics/events present despite being disabled")
+	if res.Metrics != nil || res.Spans != nil {
+		t.Fatal("metrics/spans present despite being disabled")
 	}
 }

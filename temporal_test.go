@@ -176,7 +176,7 @@ func TestTemporalObservabilityIsPure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{"Spans", "Series", "SpansDropped", "SeriesDropped", "EventsDropped", "Metrics"} {
+	for _, key := range []string{"Spans", "Series", "SpansDropped", "SeriesDropped", "Metrics"} {
 		if bytes.Contains(jb, []byte(`"`+key+`"`)) {
 			t.Fatalf("zero-config result JSON leaks %q — byte-identity with pre-PR builds broken", key)
 		}
