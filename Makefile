@@ -59,17 +59,20 @@ fuzz-regression:
 	$(GO) test ./internal/snap/ -run 'Fuzz'
 	$(GO) test ./internal/addr/ -run 'Fuzz'
 	$(GO) test ./internal/scheme/ -run 'Fuzz'
+	$(GO) test ./internal/dsweep/ -run 'Fuzz'
+	$(GO) test ./internal/flog/ -run 'Fuzz'
 
 # Active fuzzing (not part of ci; run locally when touching the parsers).
 FUZZTIME ?= 30s
 fuzz:
-	$(GO) test ./internal/trace/ -fuzz FuzzTextReader -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace/ -fuzz FuzzReader -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace/ -fuzz FuzzPackedTrace -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/fault/ -fuzz FuzzParseSchedule -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/snap/ -fuzz FuzzSnapshotRestore -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/addr/ -fuzz FuzzAddressMapping -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/scheme/ -fuzz FuzzSetCodec -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/dsweep/ -fuzz FuzzReadFrame -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/flog/ -fuzz FuzzJournalRead -fuzztime $(FUZZTIME)
 
 # Benchmarks: the raw text is benchstat input, the JSON is the archived
 # machine-readable form; both default to per-PR names so history is kept

@@ -269,13 +269,13 @@ func benchAccessPathConfig(b *testing.B, mig *core.Options, sp scheme.Spec) {
 		write bool
 	}
 	const n = 1 << 15
+	trc, err := trace.Collect(gen, n)
+	if err != nil {
+		b.Fatal(err)
+	}
 	recs := make([]rec, n)
 	var prev uint64
-	for i := range recs {
-		r, err := gen.Next()
-		if err != nil {
-			b.Fatal(err)
-		}
+	for i, r := range trc {
 		recs[i] = rec{addr: r.Addr, gap: int64(r.Cycle - prev), write: r.Write}
 		prev = r.Cycle
 	}
@@ -379,13 +379,13 @@ func benchAccessPathSharded(b *testing.B, channels int) {
 		write bool
 	}
 	const n = 1 << 15
+	trc, err := trace.Collect(gen, n)
+	if err != nil {
+		b.Fatal(err)
+	}
 	recs := make([]rec, n)
 	var prev uint64
-	for i := range recs {
-		r, err := gen.Next()
-		if err != nil {
-			b.Fatal(err)
-		}
+	for i, r := range trc {
 		recs[i] = rec{addr: r.Addr, gap: int64(r.Cycle - prev), write: r.Write}
 		prev = r.Cycle
 	}
@@ -484,11 +484,16 @@ func BenchmarkWorkloadGeneration(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	var batch trace.Batch
+	batch.Resize(trace.PackedChunkRecords)
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := gen.Next(); err != nil {
+	for n := 0; n < b.N; {
+		batch.Resize(min(b.N-n, trace.PackedChunkRecords))
+		k, err := gen.NextBatch(&batch)
+		if err != nil {
 			b.Fatal(err)
 		}
+		n += k
 	}
 }
 

@@ -83,17 +83,8 @@ func writeAll(w io.Writer, src trace.Source, format string) error {
 		if err != nil {
 			return err
 		}
-		for {
-			rec, err := src.Next()
-			if errors.Is(err, io.EOF) {
-				break
-			}
-			if err != nil {
-				return err
-			}
-			if err := tw.Write(rec); err != nil {
-				return err
-			}
+		if _, err := trace.Each(src, 0, tw.Write); err != nil {
+			return err
 		}
 		return tw.Flush()
 	default:
@@ -178,18 +169,10 @@ func cmdInfo(args []string, stdout io.Writer) error {
 		return err
 	}
 	defer closer()
-	var n, writes uint64
+	var writes uint64
 	var minA, maxA uint64 = ^uint64(0), 0
 	var lastCycle uint64
-	for {
-		rec, err := src.Next()
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			return err
-		}
-		n++
+	n, err := trace.Each(src, 0, func(rec trace.Record) error {
 		if rec.Write {
 			writes++
 		}
@@ -200,6 +183,10 @@ func cmdInfo(args []string, stdout io.Writer) error {
 			maxA = rec.Addr
 		}
 		lastCycle = rec.Cycle
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	if n == 0 {
 		fmt.Fprintln(stdout, "empty trace")

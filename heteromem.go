@@ -177,7 +177,13 @@ func WriteChromeTrace(w io.Writer, spans []Span) error {
 // Record re-exports the trace record type.
 type Record = trace.Record
 
-// Source re-exports the trace source interface.
+// Batch re-exports the columnar record batch a Source fills.
+type Batch = trace.Batch
+
+// Source re-exports the trace source interface. A custom source
+// implements NextBatch(*Batch) (int, error): it fills the caller-sized
+// batch from index 0, returns how many records it wrote, and reports
+// io.EOF after the last record.
 type Source = trace.Source
 
 // System is a configured heterogeneous-memory simulation.

@@ -8,9 +8,7 @@
 package cpu
 
 import (
-	"errors"
 	"fmt"
-	"io"
 
 	"heteromem/internal/cache"
 	"heteromem/internal/config"
@@ -154,14 +152,7 @@ func RunWarm(src trace.Source, n, warmup uint64, levels []config.CacheLevel, lat
 	latL1 := float64(levels[0].Latency)
 	latL2 := float64(levels[1].Latency)
 	latL3 := float64(levels[2].Latency)
-	for seen < n+warmup {
-		rec, err := src.Next()
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			return Result{}, err
-		}
+	walk := func(rec trace.Record) error {
 		seen++
 		lvl := h.Access(int(rec.CPU), rec.Addr, rec.Write)
 		var memLat float64
@@ -171,7 +162,7 @@ func RunWarm(src trace.Source, n, warmup uint64, levels []config.CacheLevel, lat
 			memLat = float64(mem.Latency(rec.Addr, rec.Write))
 		}
 		if seen <= warmup {
-			continue
+			return nil
 		}
 		count++
 		switch lvl {
@@ -184,6 +175,12 @@ func RunWarm(src trace.Source, n, warmup uint64, levels []config.CacheLevel, lat
 		case cache.Memory:
 			memAcc++
 			stalls += latL3 + memLat*m.MLPOverlap
+		}
+		return nil
+	}
+	if n+warmup > 0 {
+		if _, err := trace.Each(src, n+warmup, walk); err != nil {
+			return Result{}, err
 		}
 	}
 	if count == 0 {

@@ -1,6 +1,7 @@
 package dsweep
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -118,12 +119,19 @@ func readFrame(r io.Reader, env *envelope) error {
 	if n == 0 || n > maxFrame {
 		return fmt.Errorf("dsweep: frame length %d out of range (1..%d)", n, maxFrame)
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
+	// The body grows as bytes arrive instead of trusting the claimed
+	// length, so a torn or lying header costs what the peer sent, not the
+	// up to maxFrame bytes it claims.
+	var body bytes.Buffer
+	body.Grow(int(min(n, 1<<20)))
+	if _, err := io.CopyN(&body, r, int64(n)); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
 		return fmt.Errorf("dsweep: reading %d-byte frame body: %w", n, err)
 	}
 	*env = envelope{}
-	if err := json.Unmarshal(body, env); err != nil {
+	if err := json.Unmarshal(body.Bytes(), env); err != nil {
 		return fmt.Errorf("dsweep: decoding frame: %w", err)
 	}
 	if env.Type == "" {

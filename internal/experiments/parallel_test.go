@@ -182,19 +182,30 @@ func TestForEachIndexPanicPropagates(t *testing.T) {
 	}
 }
 
+// TestForEachIndexPanicCancelsRemainingWork gates every item after the
+// panicking one on a channel that item closes as it panics, so no other
+// worker can drain the sweep while the panicking worker is descheduled;
+// the sweep is large enough that a straggler released by the close cannot
+// drain it before the panic is recorded either.
 func TestForEachIndexPanicCancelsRemainingWork(t *testing.T) {
+	const n = 1_000_000
 	var after atomic.Int64
+	gate := make(chan struct{})
 	func() {
 		defer func() { _ = recover() }()
-		_ = forEachIndex(context.Background(), 10000, 4, func(i int) error {
+		_ = forEachIndex(context.Background(), n, 4, func(i int) error {
 			if i == 5 {
+				defer close(gate)
 				panic("stop")
+			}
+			if i > 5 {
+				<-gate
 			}
 			after.Add(1)
 			return nil
 		})
 	}()
-	if after.Load() >= 10000-1 {
+	if after.Load() >= n-1 {
 		t.Fatalf("panic did not cancel the sweep: %d items ran", after.Load())
 	}
 }

@@ -9,9 +9,12 @@
 // interconnect hop (Config.CopyHop), which the hub charges on every shard's
 // copy read legs.
 //
-// A single-channel hub is pure delegation: construction, access path,
-// report, and snapshot bytes are identical to a bare Controller, which is
-// what keeps the pre-hub goldens byte-for-byte valid.
+// A single-channel hub wraps one Controller built from the config
+// unchanged, and every hub method folds over its shards the same way for
+// one channel as for many: the fold of one shard into empty accumulators
+// is an exact copy, so report and snapshot bytes are identical to a bare
+// Controller's, which is what keeps the pre-hub goldens byte-for-byte
+// valid.
 package memctrl
 
 import (
@@ -60,10 +63,9 @@ type HubConfig struct {
 
 // Hub routes program accesses to N per-channel controllers.
 type Hub struct {
-	ctrls  []*Controller
-	iv     addr.Interleave
-	hop    int64
-	single *Controller // non-nil iff Channels == 1 (pure delegation)
+	ctrls []*Controller
+	iv    addr.Interleave
+	hop   int64
 }
 
 // NewHub builds the hub. With hubCfg.Channels <= 1 the result wraps exactly
@@ -87,7 +89,7 @@ func NewHub(cfg Config, hubCfg HubConfig, onResult func(AccessResult)) (*Hub, er
 		if err != nil {
 			return nil, err
 		}
-		return &Hub{ctrls: []*Controller{ctrl}, iv: iv, single: ctrl}, nil
+		return &Hub{ctrls: []*Controller{ctrl}, iv: iv}, nil
 	}
 	gran := hubCfg.Interleave
 	if gran == 0 {
@@ -174,9 +176,6 @@ func (h *Hub) Shard(i int) *Controller { return h.ctrls[i] }
 
 // Route decodes the channel and shard-local address of a physical address.
 func (h *Hub) Route(phys uint64) (ch int, local uint64) {
-	if h.single != nil {
-		return 0, phys
-	}
 	return h.iv.ChannelOf(phys), h.iv.Local(phys)
 }
 
@@ -184,17 +183,11 @@ func (h *Hub) Route(phys uint64) (ch int, local uint64) {
 // allocation-free shard access path is preserved: routing is three shifts
 // and a slice index.
 func (h *Hub) Access(phys uint64, write bool, now int64) error {
-	if h.single != nil {
-		return h.single.Access(phys, write, now)
-	}
 	return h.ctrls[h.iv.ChannelOf(phys)].Access(h.iv.Local(phys), write, now)
 }
 
 // Flush drains every shard and returns the latest final cycle.
 func (h *Hub) Flush() int64 {
-	if h.single != nil {
-		return h.single.Flush()
-	}
 	var last int64
 	for _, c := range h.ctrls {
 		if f := c.Flush(); f > last {
@@ -232,9 +225,6 @@ func (h *Hub) PublishObs() {
 // FaultReport merges the per-shard fault ledgers (nil when injection is
 // off).
 func (h *Hub) FaultReport() *fault.Report {
-	if h.single != nil {
-		return h.single.FaultReport()
-	}
 	var merged *fault.Report
 	for _, c := range h.ctrls {
 		rep := c.FaultReport()
@@ -256,9 +246,6 @@ func (h *Hub) FaultReport() *fault.Report {
 // fixed channel order, so the report is identical regardless of which
 // shard's goroutine finished first.
 func (h *Hub) Report() Report {
-	if h.single != nil {
-		return h.single.Report()
-	}
 	var r Report
 	var hist stats.Histogram
 	var coreLatSum int64

@@ -9,7 +9,7 @@ import (
 	"heteromem/internal/trace"
 )
 
-// cappedSource is a BatchSource that never fills more than cap records per
+// cappedSource is a Source that never fills more than cap records per
 // NextBatch call, regardless of how large a batch the runner offers. It
 // forwards Positioner so checkpoints store a plain record index.
 type cappedSource struct {
@@ -17,36 +17,16 @@ type cappedSource struct {
 	cap int
 }
 
-func (c *cappedSource) Next() (trace.Record, error) { return c.src.Next() }
-func (c *cappedSource) Position() uint64            { return c.src.Position() }
-func (c *cappedSource) SkipTo(n uint64) error       { return c.src.SkipTo(n) }
+func (c *cappedSource) Position() uint64      { return c.src.Position() }
+func (c *cappedSource) SkipTo(n uint64) error { return c.src.SkipTo(n) }
 
 func (c *cappedSource) NextBatch(b *trace.Batch) (int, error) {
-	n := b.Len()
-	if n > c.cap {
-		n = c.cap
+	if b.Len() <= c.cap {
+		return c.src.NextBatch(b)
 	}
-	for i := 0; i < n; i++ {
-		r, err := c.src.Next()
-		if err != nil {
-			return i, err
-		}
-		b.Set(i, r)
-	}
-	return n, nil
+	sub := trace.Batch{Cycle: b.Cycle[:c.cap], Addr: b.Addr[:c.cap], CPU: b.CPU[:c.cap], Write: b.Write[:c.cap]}
+	return c.src.NextBatch(&sub)
 }
-
-// plainSource hides the batch and seek interfaces of the wrapped source, so
-// the runner must fall back to per-record FillBatch reads and snapshot-free
-// positional state never appears. It still forwards Positioner — without it
-// checkpoints could not capture the source at all.
-type plainSource struct {
-	src *trace.SliceSource
-}
-
-func (p *plainSource) Next() (trace.Record, error) { return p.src.Next() }
-func (p *plainSource) Position() uint64            { return p.src.Position() }
-func (p *plainSource) SkipTo(n uint64) error       { return p.src.SkipTo(n) }
 
 // TestBatchSizeInvariance is the tentpole's semantic contract: batching is
 // an execution detail, never a behavior change. For every design (plus the
@@ -54,7 +34,7 @@ func (p *plainSource) SkipTo(n uint64) error       { return p.src.SkipTo(n) }
 // batch handover) the run must produce byte-identical results AND
 // byte-identical checkpoints at every boundary, no matter how records are
 // grouped: singleton batches, odd sizes, the cancel stride, one giant
-// batch, or the per-record FillBatch fallback. CheckpointEvery and Warmup
+// batch, or whole packed chunks. CheckpointEvery and Warmup
 // are deliberately unaligned with the 4096-record cancel stride so batch
 // splits land at awkward offsets.
 func TestBatchSizeInvariance(t *testing.T) {
@@ -109,7 +89,6 @@ func TestBatchSizeInvariance(t *testing.T) {
 				"cap-7":        func() trace.Source { return &cappedSource{src: trace.NewSliceSource(recs), cap: 7} },
 				"cap-4096":     func() trace.Source { return &cappedSource{src: trace.NewSliceSource(recs), cap: 4096} },
 				"cap-huge":     func() trace.Source { return &cappedSource{src: trace.NewSliceSource(recs), cap: 1 << 20} },
-				"per-record":   func() trace.Source { return &plainSource{src: trace.NewSliceSource(recs)} },
 				"packed-chunk": func() trace.Source { return trace.NewPackedSource(trace.PackRecords(recs)) },
 			}
 			for name, mk := range variants {
@@ -132,7 +111,7 @@ func TestBatchSizeInvariance(t *testing.T) {
 	}
 }
 
-// arraySource is a BatchSource that records the backing array of every
+// arraySource is a Source that records the backing array of every
 // batch the run loop asks it to fill. It forwards Positioner so the run can
 // checkpoint.
 type arraySource struct {
@@ -141,9 +120,8 @@ type arraySource struct {
 	calls  int
 }
 
-func (a *arraySource) Next() (trace.Record, error) { return a.src.Next() }
-func (a *arraySource) Position() uint64            { return a.src.Position() }
-func (a *arraySource) SkipTo(n uint64) error       { return a.src.SkipTo(n) }
+func (a *arraySource) Position() uint64      { return a.src.Position() }
+func (a *arraySource) SkipTo(n uint64) error { return a.src.SkipTo(n) }
 
 func (a *arraySource) NextBatch(b *trace.Batch) (int, error) {
 	a.arrays[&b.Cycle[0]] = true

@@ -307,7 +307,7 @@ func RunContext(ctx context.Context, src trace.Source, cfg Config) (Result, erro
 		}
 		recs := &pool[cur]
 		recs.Resize(int(batchBoundary(&cfg, done)))
-		k, rerr := trace.ReadBatch(src, recs)
+		k, rerr := src.NextBatch(recs)
 		if workers == nil {
 			for j := 0; j < k; j++ {
 				if err := inline.Access(recs.Addr[j], recs.Write[j], int64(recs.Cycle[j])); err != nil {

@@ -182,12 +182,16 @@ func TestConvergenceSeries(t *testing.T) {
 
 type failingSource struct{ n int }
 
-func (f *failingSource) Next() (trace.Record, error) {
-	if f.n >= 3 {
-		return trace.Record{}, errInjected
+// NextBatch yields three records, then fails.
+func (f *failingSource) NextBatch(b *trace.Batch) (int, error) {
+	for i := 0; i < b.Len(); i++ {
+		if f.n >= 3 {
+			return i, errInjected
+		}
+		f.n++
+		b.Set(i, trace.Record{Cycle: uint64(f.n) * 10, Addr: uint64(f.n) * 64})
 	}
-	f.n++
-	return trace.Record{Cycle: uint64(f.n) * 10, Addr: uint64(f.n) * 64}, nil
+	return b.Len(), nil
 }
 
 var errInjected = &injectedError{}

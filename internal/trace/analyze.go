@@ -1,10 +1,6 @@
 package trace
 
-import (
-	"errors"
-	"fmt"
-	"io"
-)
+import "fmt"
 
 // WindowStat summarizes one analysis window of a trace.
 type WindowStat struct {
@@ -62,14 +58,7 @@ func Analyze(src Source, window uint64, blockSize uint64) (Analysis, error) {
 		cur = make(map[uint64]struct{})
 		w = WindowStat{}
 	}
-	for {
-		rec, err := src.Next()
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			return a, err
-		}
+	_, err := Each(src, 0, func(rec Record) error {
 		if a.Records == 0 {
 			firstCycle = rec.Cycle
 		}
@@ -99,6 +88,10 @@ func Analyze(src Source, window uint64, blockSize uint64) (Analysis, error) {
 		if w.Accesses >= window {
 			flush()
 		}
+		return nil
+	})
+	if err != nil {
+		return a, err
 	}
 	flush()
 	a.Footprint = uint64(len(ever)) * blockSize

@@ -3,70 +3,8 @@ package trace
 import (
 	"bytes"
 	"encoding/binary"
-	"errors"
-	"io"
 	"testing"
 )
-
-// drainText parses every record out of data, stopping at the first error.
-func drainText(data []byte) ([]Record, error) {
-	tr := NewTextReader(bytes.NewReader(data))
-	var recs []Record
-	for {
-		r, err := tr.Next()
-		if errors.Is(err, io.EOF) {
-			return recs, nil
-		}
-		if err != nil {
-			return recs, err
-		}
-		recs = append(recs, r)
-	}
-}
-
-// FuzzTextReader feeds arbitrary bytes to the text parser. The parser must
-// never panic; whatever it does accept must survive a render/re-parse
-// round trip unchanged.
-func FuzzTextReader(f *testing.F) {
-	f.Add([]byte("100 0x1000 0 R\n200 0x2000 1 W\n"))
-	f.Add([]byte("# comment\n\n  5 0xdeadbeef 255 W  \n"))
-	f.Add([]byte("1 1000 0 R\n")) // hex field without 0x prefix
-	f.Add([]byte("18446744073709551615 0xffffffffffffffff 255 W\n"))
-	f.Add([]byte("1 0x1 0 X\n"))    // bad rw flag
-	f.Add([]byte("1 0x1 256 R\n"))  // cpu out of uint8 range
-	f.Add([]byte("1 0x1 0\n"))      // too few fields
-	f.Add([]byte("1 0x1 0 R R\n"))  // too many fields
-	f.Add([]byte("-1 0x1 0 R\n"))   // negative cycle
-	f.Add([]byte("1 0x 0 R\n"))     // empty hex digits
-	f.Add([]byte("\x00\xff\x00 R")) // binary noise
-	f.Fuzz(func(t *testing.T, data []byte) {
-		recs, err := drainText(data)
-		if err != nil {
-			return // rejected input: any error is fine, panics are not
-		}
-		// Accepted input must round-trip exactly.
-		var buf bytes.Buffer
-		n, werr := WriteText(&buf, NewSliceSource(recs))
-		if werr != nil {
-			t.Fatalf("WriteText failed on parsed records: %v", werr)
-		}
-		if n != uint64(len(recs)) {
-			t.Fatalf("WriteText wrote %d of %d records", n, len(recs))
-		}
-		again, rerr := drainText(buf.Bytes())
-		if rerr != nil {
-			t.Fatalf("re-parse of rendered output failed: %v\noutput: %q", rerr, buf.String())
-		}
-		if len(again) != len(recs) {
-			t.Fatalf("round trip changed record count: %d != %d", len(again), len(recs))
-		}
-		for i := range recs {
-			if recs[i] != again[i] {
-				t.Fatalf("record %d changed in round trip: %+v != %+v", i, recs[i], again[i])
-			}
-		}
-	})
-}
 
 // FuzzPackedTrace exercises the packed columnar codec from both ends.
 // The input bytes are first decoded as fixed-width records and driven
@@ -182,19 +120,10 @@ func FuzzReader(f *testing.F) {
 		if err != nil {
 			return
 		}
-		var recs []Record
-		for {
-			rec, err := r.Next()
-			if errors.Is(err, io.EOF) {
-				break
-			}
-			if err != nil {
-				return // truncation etc.: error, not panic
-			}
-			recs = append(recs, rec)
-			if len(recs) > 1<<16 {
-				break // bound fuzz work on giant inputs
-			}
+		// Bound fuzz work on giant inputs: a prefix round-trips too.
+		recs, err := Collect(r, 1<<16+1)
+		if err != nil {
+			return // truncation etc.: error, not panic
 		}
 		// Fully decoded input: re-encode and compare.
 		var buf bytes.Buffer
@@ -214,17 +143,17 @@ func FuzzReader(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-read of re-encoded trace failed: %v", err)
 		}
-		for i, want := range recs {
-			got, err := r2.Next()
-			if err != nil {
-				t.Fatalf("record %d: %v", i, err)
-			}
-			if got != want {
-				t.Fatalf("record %d changed in round trip: %+v != %+v", i, got, want)
-			}
+		got, err := Collect(r2, 0)
+		if err != nil {
+			t.Fatalf("re-read of re-encoded trace: %v", err)
 		}
-		if _, err := r2.Next(); !errors.Is(err, io.EOF) {
-			t.Fatalf("expected EOF after %d records, got %v", len(recs), err)
+		if len(got) != len(recs) {
+			t.Fatalf("round trip read %d records, want %d", len(got), len(recs))
+		}
+		for i, want := range recs {
+			if got[i] != want {
+				t.Fatalf("record %d changed in round trip: %+v != %+v", i, got[i], want)
+			}
 		}
 	})
 }

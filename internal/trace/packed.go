@@ -235,15 +235,6 @@ func NewPackedBuilder() *PackedBuilder {
 // Count returns the number of records appended so far.
 func (pb *PackedBuilder) Count() uint64 { return pb.p.n + uint64(pb.n) }
 
-// Append adds one record.
-func (pb *PackedBuilder) Append(r Record) {
-	pb.buf.Set(pb.n, r)
-	pb.n++
-	if pb.n == PackedChunkRecords {
-		pb.flush()
-	}
-}
-
 // AppendBatch adds the first k records of b.
 func (pb *PackedBuilder) AppendBatch(b *Batch, k int) {
 	done := 0
@@ -292,7 +283,7 @@ func Pack(src Source, max uint64) (*Packed, error) {
 			}
 		}
 		b.Resize(want)
-		k, err := ReadBatch(src, &b)
+		k, err := src.NextBatch(&b)
 		if k > 0 {
 			pb.AppendBatch(&b, k)
 		}
@@ -319,9 +310,10 @@ func PackRecords(recs []Record) *Packed {
 }
 
 // PackedSource replays a packed trace, decoding one chunk at a time into
-// an internal batch. It implements Source, BatchSource, and Positioner
-// (random access via SkipTo, so packed replays checkpoint and resume like
-// slice-backed ones).
+// an internal batch. It implements Source and Positioner (random access
+// via SkipTo, so packed replays checkpoint and resume like slice-backed
+// ones), and keeps a per-record Next for callers that read one record at
+// a time.
 type PackedSource struct {
 	p   *Packed
 	buf Batch
@@ -352,7 +344,7 @@ func (s *PackedSource) load() {
 	s.bi = 0
 }
 
-// Next implements Source.
+// Next returns the next record, or io.EOF after the last one.
 func (s *PackedSource) Next() (Record, error) {
 	if s.bi >= s.buf.Len() {
 		if !s.loadNext() {
@@ -365,7 +357,7 @@ func (s *PackedSource) Next() (Record, error) {
 	return r, nil
 }
 
-// NextBatch implements BatchSource by copying decoded columns into b.
+// NextBatch implements Source by copying decoded columns into b.
 func (s *PackedSource) NextBatch(b *Batch) (int, error) {
 	want := b.Len()
 	n := 0

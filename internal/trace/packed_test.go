@@ -97,7 +97,7 @@ func TestPackedSourcePositioner(t *testing.T) {
 	p := PackRecords(recs)
 	src := NewPackedSource(p)
 	var _ Positioner = src
-	var _ BatchSource = src
+	var _ Source = src
 
 	// Forward, backward, and boundary seeks all land exactly.
 	for _, pos := range []uint64{0, 1, 100, PackedChunkRecords - 1, PackedChunkRecords, PackedChunkRecords + 1, uint64(len(recs)) - 1, 5, uint64(len(recs))} {
@@ -145,7 +145,7 @@ func TestPackedSourceNextBatchOddSizes(t *testing.T) {
 		var b Batch
 		for {
 			b.Resize(size)
-			k, err := ReadBatch(src, &b)
+			k, err := src.NextBatch(&b)
 			for i := 0; i < k; i++ {
 				got = append(got, b.Record(i))
 			}
@@ -211,8 +211,7 @@ func TestPackNoProgressSource(t *testing.T) {
 	}
 }
 
-// noProgressSource violates the BatchSource contract by returning (0, nil).
+// noProgressSource violates the Source contract by returning (0, nil).
 type noProgressSource struct{}
 
-func (noProgressSource) Next() (Record, error)         { return Record{}, nil }
 func (noProgressSource) NextBatch(*Batch) (int, error) { return 0, nil }

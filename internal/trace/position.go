@@ -1,13 +1,9 @@
 package trace
 
-import (
-	"errors"
-	"fmt"
-	"io"
-)
+import "fmt"
 
 // Positioner is a Source that tracks an absolute record index and can seek
-// to one. Position returns the index of the record the next Next call will
+// to one. Position returns the index of the next record the source will
 // yield; SkipTo advances the source so the next record yielded is record n.
 // Streaming sources reject seeking backward, and every implementation
 // rejects skipping past the end of the trace.
@@ -39,33 +35,14 @@ func (r *Reader) SkipTo(n uint64) error {
 	if n < r.n {
 		return fmt.Errorf("trace: cannot seek backward from record %d to %d", r.n, n)
 	}
-	for r.n < n {
-		if _, err := r.Next(); err != nil {
-			if errors.Is(err, io.EOF) {
-				return fmt.Errorf("trace: skip to record %d past end of trace (%d records)", n, r.n)
-			}
-			return err
-		}
+	if n == r.n {
+		return nil
 	}
-	return nil
-}
-
-// Position implements Positioner.
-func (t *TextReader) Position() uint64 { return t.n }
-
-// SkipTo implements Positioner by parsing and discarding records; the text
-// stream cannot seek backward.
-func (t *TextReader) SkipTo(n uint64) error {
-	if n < t.n {
-		return fmt.Errorf("trace: cannot seek backward from record %d to %d", t.n, n)
+	if _, err := Each(r, n-r.n, func(Record) error { return nil }); err != nil {
+		return err
 	}
-	for t.n < n {
-		if _, err := t.Next(); err != nil {
-			if errors.Is(err, io.EOF) {
-				return fmt.Errorf("trace: skip to record %d past end of trace (%d records)", n, t.n)
-			}
-			return err
-		}
+	if r.n < n {
+		return fmt.Errorf("trace: skip to record %d past end of trace (%d records)", n, r.n)
 	}
 	return nil
 }

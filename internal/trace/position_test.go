@@ -2,7 +2,7 @@ package trace
 
 import (
 	"bytes"
-	"strings"
+	"io"
 	"testing"
 
 	"heteromem/internal/snap"
@@ -36,15 +36,24 @@ func positionSources(t *testing.T, recs []Record) map[string]Positioner {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var txt bytes.Buffer
-	if _, err := WriteText(&txt, NewSliceSource(recs)); err != nil {
-		t.Fatal(err)
-	}
 	return map[string]Positioner{
 		"slice":  NewSliceSource(recs),
 		"binary": rd,
-		"text":   NewTextReader(strings.NewReader(txt.String())),
 	}
+}
+
+// nextRecord reads one record through a one-record batch.
+func nextRecord(src Source) (Record, error) {
+	var b Batch
+	b.Resize(1)
+	k, err := src.NextBatch(&b)
+	if k == 1 {
+		return b.Record(0), nil
+	}
+	if err == nil {
+		err = io.ErrNoProgress
+	}
+	return Record{}, err
 }
 
 func TestPositionerSkipTo(t *testing.T) {
@@ -63,7 +72,7 @@ func TestPositionerSkipTo(t *testing.T) {
 			if got := src.Position(); got != 7 {
 				t.Fatalf("position after skip = %d, want 7", got)
 			}
-			r, err := src.Next()
+			r, err := nextRecord(src)
 			if err != nil {
 				t.Fatalf("Next after skip: %v", err)
 			}
@@ -77,7 +86,7 @@ func TestPositionerSkipTo(t *testing.T) {
 			if err := src.SkipTo(uint64(len(recs))); err != nil {
 				t.Fatalf("SkipTo(end): %v", err)
 			}
-			if _, err := src.Next(); err == nil {
+			if _, err := nextRecord(src); err == nil {
 				t.Fatal("Next at end should return EOF")
 			}
 		})
@@ -123,10 +132,12 @@ func TestStreamingSkipBackward(t *testing.T) {
 // state is how many records it has emitted.
 type snapSource struct{ n uint64 }
 
-func (s *snapSource) Next() (Record, error) {
-	r := Record{Cycle: s.n * 10, Addr: s.n << 6}
-	s.n++
-	return r, nil
+func (s *snapSource) NextBatch(b *Batch) (int, error) {
+	for i := 0; i < b.Len(); i++ {
+		b.Set(i, Record{Cycle: s.n * 10, Addr: s.n << 6})
+		s.n++
+	}
+	return b.Len(), nil
 }
 func (s *snapSource) SnapshotTo(e *snap.Encoder) { e.U64(s.n) }
 func (s *snapSource) RestoreFrom(d *snap.Decoder) error {
@@ -139,7 +150,7 @@ func (s *snapSource) RestoreFrom(d *snap.Decoder) error {
 func limitRoundTrip(t *testing.T, l, fresh *Limit, k int) (Record, Record) {
 	t.Helper()
 	for i := 0; i < k; i++ {
-		if _, err := l.Next(); err != nil {
+		if _, err := nextRecord(l); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -160,11 +171,11 @@ func limitRoundTrip(t *testing.T, l, fresh *Limit, k int) (Record, Record) {
 	if err := fresh.RestoreFrom(d); err != nil {
 		t.Fatal(err)
 	}
-	want, err := l.Next()
+	want, err := nextRecord(l)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := fresh.Next()
+	got, err := nextRecord(fresh)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +198,8 @@ func TestLimitSnapshotPositionerSource(t *testing.T) {
 }
 
 func TestLimitSnapshotUnsupportedSource(t *testing.T) {
-	l := NewLimit(NewMerge(0, false), 10)
+	// Embedding hides every method but NextBatch.
+	l := NewLimit(struct{ Source }{NewSliceSource(nil)}, 10)
 	e := snap.NewEncoder()
 	e.Section("limit")
 	l.SnapshotTo(e)

@@ -3,8 +3,9 @@
 // collected from its full-system simulator: physical address, CPU ID, time
 // stamp, and read/write status of every main-memory access (i.e. L3 misses).
 //
-// Traces can be materialized to files (binary or text) or streamed from a
-// generator without touching disk; the Source interface abstracts both.
+// Traces can be materialized to files (binary or packed, with a text
+// rendering for inspection) or streamed from a generator without touching
+// disk; the Source interface abstracts both.
 package trace
 
 import (
@@ -13,8 +14,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"strconv"
-	"strings"
 )
 
 // Record is one main-memory access.
@@ -25,10 +24,15 @@ type Record struct {
 	Write bool   // true for store, false for load
 }
 
-// Source yields trace records in nondecreasing Cycle order.
-// Next returns io.EOF after the last record.
+// Source yields trace records in nondecreasing Cycle order, a caller-sized
+// batch at a time. NextBatch writes up to b.Len() records into b's columns
+// starting at index 0 and returns how many it wrote. Like io.Reader, it
+// may return n > 0 alongside a non-nil error (including io.EOF after the
+// last record); the caller must process the n records before handling the
+// error. It never returns (0, nil) when b.Len() > 0, so a read loop always
+// makes progress.
 type Source interface {
-	Next() (Record, error)
+	NextBatch(b *Batch) (int, error)
 }
 
 // SliceSource serves records from an in-memory slice.
@@ -40,18 +44,61 @@ type SliceSource struct {
 // NewSliceSource wraps recs; the slice is not copied.
 func NewSliceSource(recs []Record) *SliceSource { return &SliceSource{recs: recs} }
 
-// Next implements Source.
-func (s *SliceSource) Next() (Record, error) {
-	if s.i >= len(s.recs) {
-		return Record{}, io.EOF
+// NextBatch implements Source by copying straight out of the backing
+// slice (a scatter from the array-of-structs form into the columns).
+func (s *SliceSource) NextBatch(b *Batch) (int, error) {
+	n := b.Len()
+	if rem := len(s.recs) - s.i; rem < n {
+		n = rem
 	}
-	r := s.recs[s.i]
-	s.i++
-	return r, nil
+	if n == 0 {
+		if b.Len() == 0 {
+			return 0, nil
+		}
+		return 0, io.EOF
+	}
+	for k, r := range s.recs[s.i : s.i+n] {
+		b.Set(k, r)
+	}
+	s.i += n
+	return n, nil
 }
 
 // Reset rewinds the source to the first record.
 func (s *SliceSource) Reset() { s.i = 0 }
+
+// Each walks src a batch at a time and calls fn on every record, stopping
+// at EOF or, when max > 0, after max records; it never reads past max. It
+// returns how many records fn accepted. Reaching EOF is not an error; the
+// first error from the source or from fn ends the walk and is returned.
+func Each(src Source, max uint64, fn func(Record) error) (uint64, error) {
+	var b Batch
+	var n uint64
+	for max == 0 || n < max {
+		want := uint64(PackedChunkRecords)
+		if max > 0 && max-n < want {
+			want = max - n
+		}
+		b.Resize(int(want))
+		k, err := src.NextBatch(&b)
+		for i := 0; i < k; i++ {
+			if err := fn(b.Record(i)); err != nil {
+				return n, err
+			}
+			n++
+		}
+		if errors.Is(err, io.EOF) {
+			break
+		}
+		if err != nil {
+			return n, err
+		}
+		if k == 0 {
+			return n, fmt.Errorf("trace: source returned no progress: %w", io.ErrNoProgress)
+		}
+	}
+	return n, nil
+}
 
 // Collect drains a source into a slice, up to max records (0 = unlimited).
 // A finite max pre-sizes the slice, so bounded collection never pays
@@ -61,17 +108,11 @@ func Collect(src Source, max int) ([]Record, error) {
 	if max > 0 {
 		out = make([]Record, 0, max)
 	}
-	for max == 0 || len(out) < max {
-		r, err := src.Next()
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			return out, err
-		}
+	_, err := Each(src, uint64(max), func(r Record) error {
 		out = append(out, r)
-	}
-	return out, nil
+		return nil
+	})
+	return out, err
 }
 
 const binaryMagic = "HMTR"
@@ -145,103 +186,43 @@ func NewReader(r io.Reader) (*Reader, error) {
 	return &Reader{r: br}, nil
 }
 
-// Next implements Source.
-func (r *Reader) Next() (Record, error) {
+// NextBatch implements Source.
+func (r *Reader) NextBatch(b *Batch) (int, error) {
 	var buf [binRecSize]byte
-	if _, err := io.ReadFull(r.r, buf[:]); err != nil {
-		if errors.Is(err, io.EOF) {
-			return Record{}, io.EOF
+	for i := 0; i < b.Len(); i++ {
+		if _, err := io.ReadFull(r.r, buf[:]); err != nil {
+			if errors.Is(err, io.ErrUnexpectedEOF) {
+				err = fmt.Errorf("trace: truncated record: %w", err)
+			}
+			return i, err
 		}
-		if errors.Is(err, io.ErrUnexpectedEOF) {
-			return Record{}, fmt.Errorf("trace: truncated record: %w", err)
-		}
-		return Record{}, err
+		b.Cycle[i] = binary.LittleEndian.Uint64(buf[0:])
+		b.Addr[i] = binary.LittleEndian.Uint64(buf[8:])
+		b.CPU[i] = buf[16]
+		b.Write[i] = buf[17] != 0
+		r.n++
 	}
-	r.n++
-	return Record{
-		Cycle: binary.LittleEndian.Uint64(buf[0:]),
-		Addr:  binary.LittleEndian.Uint64(buf[8:]),
-		CPU:   buf[16],
-		Write: buf[17] != 0,
-	}, nil
+	return b.Len(), nil
 }
 
 // WriteText renders records in the human-readable text format, one record
 // per line: "cycle addr cpu R|W" with addr in hex.
 func WriteText(w io.Writer, src Source) (uint64, error) {
 	bw := bufio.NewWriter(w)
-	var n uint64
-	for {
-		r, err := src.Next()
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			return n, err
-		}
+	var werr error
+	n, err := Each(src, 0, func(r Record) error {
 		rw := 'R'
 		if r.Write {
 			rw = 'W'
 		}
-		if _, err := fmt.Fprintf(bw, "%d 0x%x %d %c\n", r.Cycle, r.Addr, r.CPU, rw); err != nil {
-			return n, fmt.Errorf("trace: writing text record %d: %w", n, err)
-		}
-		n++
+		_, werr = fmt.Fprintf(bw, "%d 0x%x %d %c\n", r.Cycle, r.Addr, r.CPU, rw)
+		return werr
+	})
+	if werr != nil {
+		return n, fmt.Errorf("trace: writing text record %d: %w", n, werr)
+	}
+	if err != nil {
+		return n, err
 	}
 	return n, bw.Flush()
-}
-
-// TextReader parses the text format and implements Source.
-type TextReader struct {
-	sc   *bufio.Scanner
-	line int
-	n    uint64 // records yielded so far
-}
-
-// NewTextReader returns a TextReader over r.
-func NewTextReader(r io.Reader) *TextReader {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), 1024*1024)
-	return &TextReader{sc: sc}
-}
-
-// Next implements Source.
-func (t *TextReader) Next() (Record, error) {
-	for t.sc.Scan() {
-		t.line++
-		line := strings.TrimSpace(t.sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		f := strings.Fields(line)
-		if len(f) != 4 {
-			return Record{}, fmt.Errorf("trace: line %d: want 4 fields, got %d", t.line, len(f))
-		}
-		cycle, err := strconv.ParseUint(f[0], 10, 64)
-		if err != nil {
-			return Record{}, fmt.Errorf("trace: line %d: cycle: %w", t.line, err)
-		}
-		a, err := strconv.ParseUint(strings.TrimPrefix(f[1], "0x"), 16, 64)
-		if err != nil {
-			return Record{}, fmt.Errorf("trace: line %d: addr: %w", t.line, err)
-		}
-		cpu, err := strconv.ParseUint(f[2], 10, 8)
-		if err != nil {
-			return Record{}, fmt.Errorf("trace: line %d: cpu: %w", t.line, err)
-		}
-		var write bool
-		switch f[3] {
-		case "R":
-		case "W":
-			write = true
-		default:
-			return Record{}, fmt.Errorf("trace: line %d: bad rw flag %q", t.line, f[3])
-		}
-		t.n++
-		return Record{Cycle: cycle, Addr: a, CPU: uint8(cpu), Write: write}, nil
-	}
-	if err := t.sc.Err(); err != nil {
-		return Record{}, err
-	}
-	return Record{}, io.EOF
 }

@@ -68,58 +68,17 @@ func TestTruncatedRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Next(); err == nil || errors.Is(err, io.EOF) {
+	if _, err := Collect(r, 0); err == nil || errors.Is(err, io.EOF) {
 		t.Fatalf("truncated record: err = %v, want explicit error", err)
-	}
-}
-
-func TestTextRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	n, err := WriteText(&buf, NewSliceSource(sample()))
-	if err != nil || n != 3 {
-		t.Fatalf("WriteText = %d, %v", n, err)
-	}
-	got, err := Collect(NewTextReader(&buf), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, want := range sample() {
-		if got[i] != want {
-			t.Fatalf("record %d = %+v, want %+v", i, got[i], want)
-		}
-	}
-}
-
-func TestTextReaderSkipsCommentsAndBlanks(t *testing.T) {
-	in := "# header\n\n1 0x40 0 R\n  \n2 0x80 1 W\n"
-	got, err := Collect(NewTextReader(strings.NewReader(in)), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || !got[1].Write {
-		t.Fatalf("got %+v", got)
-	}
-}
-
-func TestTextReaderErrors(t *testing.T) {
-	bad := []string{
-		"1 0x40 0",     // too few fields
-		"x 0x40 0 R",   // bad cycle
-		"1 zz 0 R",     // bad addr
-		"1 0x40 999 R", // cpu out of range
-		"1 0x40 0 Q",   // bad rw
-	}
-	for _, line := range bad {
-		if _, err := NewTextReader(strings.NewReader(line)).Next(); err == nil {
-			t.Errorf("line %q accepted", line)
-		}
 	}
 }
 
 func TestSliceSourceReset(t *testing.T) {
 	s := NewSliceSource(sample())
 	Collect(s, 0)
-	if _, err := s.Next(); !errors.Is(err, io.EOF) {
+	var b Batch
+	b.Resize(1)
+	if _, err := s.NextBatch(&b); !errors.Is(err, io.EOF) {
 		t.Fatal("drained source should EOF")
 	}
 	s.Reset()
@@ -143,37 +102,6 @@ func TestCollectMax(t *testing.T) {
 	}
 }
 
-func TestMergeOrdersByCycle(t *testing.T) {
-	a := NewSliceSource([]Record{{Cycle: 1, Addr: 0}, {Cycle: 10, Addr: 64}})
-	b := NewSliceSource([]Record{{Cycle: 5, Addr: 128}, {Cycle: 6, Addr: 192}})
-	m := NewMerge(0, false, a, b)
-	got, err := Collect(m, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 4 {
-		t.Fatalf("merged %d records", len(got))
-	}
-	for i := 1; i < len(got); i++ {
-		if got[i].Cycle < got[i-1].Cycle {
-			t.Fatalf("merge out of order: %v", got)
-		}
-	}
-}
-
-func TestMergeStripesAndRelabels(t *testing.T) {
-	a := NewSliceSource([]Record{{Cycle: 1, Addr: 100, CPU: 9}})
-	b := NewSliceSource([]Record{{Cycle: 2, Addr: 100, CPU: 9}})
-	m := NewMerge(1<<20, true, a, b)
-	got, _ := Collect(m, 0)
-	if got[0].Addr == got[1].Addr {
-		t.Fatal("stripe did not separate address spaces")
-	}
-	if got[0].CPU == got[1].CPU {
-		t.Fatal("relabel did not assign distinct CPUs")
-	}
-}
-
 // Property: binary round-trip preserves arbitrary records (addresses
 // masked to the encodable range).
 func TestBinaryRoundTripProperty(t *testing.T) {
@@ -187,8 +115,8 @@ func TestBinaryRoundTripProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, err := r.Next()
-		return err == nil && got == rec
+		got, err := Collect(r, 0)
+		return err == nil && len(got) == 1 && got[0] == rec
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"heteromem/internal/snap"
+	"heteromem/internal/trace"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files with current output")
@@ -28,11 +29,11 @@ func TestGeneratorGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		fmt.Fprintf(&buf, "# %s seed=%d\n", tc.name, tc.seed)
-		for i := 0; i < 24; i++ {
-			rec, err := gen.Next()
-			if err != nil {
-				t.Fatal(err)
-			}
+		recs, err := trace.Collect(gen, 24)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rec := range recs {
 			fmt.Fprintf(&buf, "%d %#x %d %v\n", rec.Cycle, rec.Addr, rec.CPU, rec.Write)
 		}
 	}
@@ -70,8 +71,8 @@ func TestGeneratorSnapshotRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < 5000; i++ {
-			gen.Next()
+		if err := gen.SkipTo(5000); err != nil {
+			t.Fatal(err)
 		}
 		e := snap.NewEncoder()
 		e.Section("gen")
@@ -100,11 +101,11 @@ func TestGeneratorSnapshotRoundTrip(t *testing.T) {
 		if fresh.Position() != gen.Position() {
 			t.Fatalf("%s: position %d after restore, want %d", name, fresh.Position(), gen.Position())
 		}
-		for i := 0; i < 5000; i++ {
-			ra, _ := gen.Next()
-			rb, _ := fresh.Next()
-			if ra != rb {
-				t.Fatalf("%s: record %d diverged after restore: %+v vs %+v", name, i, ra, rb)
+		ra, _ := trace.Collect(gen, 5000)
+		rb, _ := trace.Collect(fresh, 5000)
+		for i := range ra {
+			if ra[i] != rb[i] {
+				t.Fatalf("%s: record %d diverged after restore: %+v vs %+v", name, i, ra[i], rb[i])
 			}
 		}
 	}
@@ -114,17 +115,14 @@ func TestGeneratorSnapshotRoundTrip(t *testing.T) {
 // that walked there record by record.
 func TestGeneratorSkipTo(t *testing.T) {
 	walked, _ := NewMemory("pgbench", 5)
-	for i := 0; i < 1234; i++ {
-		walked.Next()
-	}
+	ra, _ := trace.Collect(walked, 1235)
 	skipped, _ := NewMemory("pgbench", 5)
 	if err := skipped.SkipTo(1234); err != nil {
 		t.Fatal(err)
 	}
-	ra, _ := walked.Next()
-	rb, _ := skipped.Next()
-	if ra != rb {
-		t.Fatalf("record 1234 diverged: %+v vs %+v", ra, rb)
+	rb, _ := trace.Collect(skipped, 1)
+	if ra[1234] != rb[0] {
+		t.Fatalf("record 1234 diverged: %+v vs %+v", ra[1234], rb[0])
 	}
 	if err := skipped.SkipTo(3); err == nil {
 		t.Fatal("backward skip accepted")

@@ -1,16 +1,16 @@
 package workload
 
 import (
-	"io"
 	"testing"
 
 	"heteromem/internal/trace"
 )
 
-// TestGeneratorNextBatchMatchesNext pins the batched generator path to the
-// per-record one: both must consume the RNG identically and emit the same
-// stream, for every registered workload and across uneven batch sizes.
-func TestGeneratorNextBatchMatchesNext(t *testing.T) {
+// TestGeneratorBatchSizeInvariance pins the generator stream to be
+// independent of how it is cut into batches: one-record batches and
+// uneven, growing batch sizes must consume the RNG identically and emit
+// the same records, for every registered workload.
+func TestGeneratorBatchSizeInvariance(t *testing.T) {
 	const n = 20_000
 	for _, name := range append(Names(), ProgramNames()...) {
 		single, err := newAny(name, 42)
@@ -21,7 +21,8 @@ func TestGeneratorNextBatchMatchesNext(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var b trace.Batch
+		var one, b trace.Batch
+		one.Resize(1)
 		got := 0
 		size := 1
 		for got < n {
@@ -34,12 +35,11 @@ func TestGeneratorNextBatchMatchesNext(t *testing.T) {
 				t.Fatalf("%s: NextBatch(%d) = %d, %v", name, size, k, err)
 			}
 			for i := 0; i < k; i++ {
-				want, err := single.Next()
-				if err != nil {
+				if _, err := single.NextBatch(&one); err != nil {
 					t.Fatal(err)
 				}
-				if b.Record(i) != want {
-					t.Fatalf("%s: record %d = %+v, want %+v", name, got+i, b.Record(i), want)
+				if b.Record(i) != one.Record(0) {
+					t.Fatalf("%s: record %d = %+v, want %+v", name, got+i, b.Record(i), one.Record(0))
 				}
 			}
 			got += k
@@ -98,21 +98,20 @@ func TestPackedGeneratorRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := trace.NewPackedSource(p)
-	for i := 0; i < n; i++ {
-		want, err := ref.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := src.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Fatalf("record %d = %+v, want %+v", i, got, want)
-		}
+	want, err := trace.Collect(ref, n)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := src.Next(); err != io.EOF {
-		t.Fatalf("after %d records: %v, want EOF", n, err)
+	got, err := trace.Collect(trace.NewPackedSource(p), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != n {
+		t.Fatalf("decoded %d records, want %d", len(got), n)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("record %d = %+v, want %+v", i, got[i], want[i])
+		}
 	}
 }

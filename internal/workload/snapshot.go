@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"heteromem/internal/snap"
+	"heteromem/internal/trace"
 )
 
 // SnapshotTo writes the generator's mutable state: the shared PRNG state
@@ -62,10 +63,9 @@ func (g *Generator) SkipTo(n uint64) error {
 	if n < g.n {
 		return fmt.Errorf("workload: cannot skip backward from record %d to %d", g.n, n)
 	}
-	for g.n < n {
-		if _, err := g.Next(); err != nil {
-			return err
-		}
+	if n == g.n {
+		return nil
 	}
-	return nil
+	_, err := trace.Each(g, n-g.n, func(trace.Record) error { return nil })
+	return err
 }

@@ -92,46 +92,18 @@ func (g *Generator) Spec() Spec { return g.spec }
 // Footprint returns the workload footprint in bytes.
 func (g *Generator) Footprint() uint64 { return g.spec.Footprint() }
 
-// Next implements trace.Source. The stream is unbounded; wrap it in
-// trace.NewLimit for a finite run.
-func (g *Generator) Next() (trace.Record, error) {
-	w := g.rng.Intn(g.total)
-	// Pick the component whose cumulative-weight bucket holds w. Component
-	// counts are tiny (a handful per spec), so a linear scan beats the
-	// binary search's branches; the picked index is identical.
-	i := 0
-	for g.cum[i] <= w {
-		i++
-	}
-	region := g.regions[i]
-	off := g.streams[i].next(g.rng)
-	if off >= region {
-		off %= region
-	}
-	addr := g.bases[i] + off
-
-	gap := g.rng.ExpFloat64() * g.meanGap
-	if gap < 1 {
-		gap = 1
-	}
-	g.cycle += uint64(gap)
-	g.n++
-	return trace.Record{
-		Cycle: g.cycle,
-		Addr:  addr,
-		CPU:   uint8(g.rng.Intn(g.cores)),
-		Write: g.rng.Float64() < g.writeFracs[i],
-	}, nil
-}
-
-// NextBatch implements trace.BatchSource: the batch columns are filled
-// with exactly the records Next would have produced (same RNG consumption
-// per record), without the per-record interface dispatch and struct copy.
+// NextBatch implements trace.Source by filling every record of b. The
+// stream is unbounded; wrap it in trace.NewLimit for a finite run. Each
+// record consumes the RNG in a fixed order, so the stream does not depend
+// on how it is cut into batches.
 func (g *Generator) NextBatch(b *trace.Batch) (int, error) {
 	n := b.Len()
 	cycle := g.cycle
 	for k := 0; k < n; k++ {
 		w := g.rng.Intn(g.total)
+		// Pick the component whose cumulative-weight bucket holds w.
+		// Component counts are tiny (a handful per spec), so a linear scan
+		// beats a binary search's branches.
 		i := 0
 		for g.cum[i] <= w {
 			i++

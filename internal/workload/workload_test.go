@@ -22,12 +22,12 @@ func TestAllMemorySpecsBuild(t *testing.T) {
 			t.Errorf("%s: footprint %d exceeds the 4GB simulated memory", name, fp)
 		}
 		// Records stay in range, cycles are monotonic.
+		recs, err := trace.Collect(gen, 20000)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
 		var last uint64
-		for i := 0; i < 20000; i++ {
-			rec, err := gen.Next()
-			if err != nil {
-				t.Fatalf("%s: record %d: %v", name, i, err)
-			}
+		for _, rec := range recs {
 			if rec.Addr >= fp {
 				t.Fatalf("%s: addr %#x beyond footprint %#x", name, rec.Addr, fp)
 			}
@@ -48,11 +48,11 @@ func TestAllProgramSpecsBuild(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		for i := 0; i < 5000; i++ {
-			rec, err := gen.Next()
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
+		recs, err := trace.Collect(gen, 5000)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for _, rec := range recs {
 			if rec.Addr >= gen.Footprint() {
 				t.Fatalf("%s: addr out of range", name)
 			}
@@ -85,11 +85,11 @@ func TestTableIFootprintSplit(t *testing.T) {
 func TestDeterminism(t *testing.T) {
 	a, _ := NewMemory("pgbench", 42)
 	b, _ := NewMemory("pgbench", 42)
-	for i := 0; i < 10000; i++ {
-		ra, _ := a.Next()
-		rb, _ := b.Next()
-		if ra != rb {
-			t.Fatalf("record %d diverged: %+v vs %+v", i, ra, rb)
+	ra, _ := trace.Collect(a, 10000)
+	rb, _ := trace.Collect(b, 10000)
+	for i := range ra {
+		if ra[i] != rb[i] {
+			t.Fatalf("record %d diverged: %+v vs %+v", i, ra[i], rb[i])
 		}
 	}
 }
@@ -97,11 +97,11 @@ func TestDeterminism(t *testing.T) {
 func TestSeedsDiffer(t *testing.T) {
 	a, _ := NewMemory("pgbench", 1)
 	b, _ := NewMemory("pgbench", 2)
+	ra, _ := trace.Collect(a, 1000)
+	rb, _ := trace.Collect(b, 1000)
 	same := 0
-	for i := 0; i < 1000; i++ {
-		ra, _ := a.Next()
-		rb, _ := b.Next()
-		if ra.Addr == rb.Addr {
+	for i := range ra {
+		if ra[i].Addr == rb[i].Addr {
 			same++
 		}
 	}
@@ -144,8 +144,8 @@ func TestWriteFractionRespected(t *testing.T) {
 	}
 	writes := 0
 	const n = 10000
-	for i := 0; i < n; i++ {
-		rec, _ := gen.Next()
+	recs, _ := trace.Collect(gen, n)
+	for _, rec := range recs {
 		if rec.Write {
 			writes++
 		}
@@ -225,37 +225,6 @@ func TestVCycleStaysInRegion(t *testing.T) {
 		if a := v.next(r); a >= 1<<24 {
 			t.Fatalf("v-cycle address %d out of region", a)
 		}
-	}
-}
-
-func TestMergeSPEC2006StyleMixture(t *testing.T) {
-	// The Merge tool must build a multi-programmed trace the way the paper
-	// built its SPEC2006 mixture.
-	var parts []trace.Source
-	for i := 0; i < 4; i++ {
-		gen, err := NewProgram("EP.C", int64(i+1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		parts = append(parts, trace.NewLimit(gen, 1000))
-	}
-	m := trace.NewMerge(1<<32, true, parts...)
-	recs, err := trace.Collect(m, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 4000 {
-		t.Fatalf("merged %d records, want 4000", len(recs))
-	}
-	cpus := map[uint8]bool{}
-	for i, r := range recs {
-		cpus[r.CPU] = true
-		if i > 0 && r.Cycle < recs[i-1].Cycle {
-			t.Fatal("merged trace out of order")
-		}
-	}
-	if len(cpus) != 4 {
-		t.Fatalf("mixture uses %d CPUs, want 4", len(cpus))
 	}
 }
 
