@@ -75,15 +75,16 @@ fuzz:
 	$(GO) test ./internal/flog/ -fuzz FuzzJournalRead -fuzztime $(FUZZTIME)
 
 # Benchmarks: the raw text is benchstat input, the JSON is the archived
-# machine-readable form; both default to per-PR names so history is kept
-# side by side. Compare the TemporalObservabilityOff/On pair to bound the
-# tracing overhead, the CheckpointOff/On pair to bound the checkpoint
-# serialization overhead, and the AccessPathScheme variants against the
-# AccessPath designs to bound what each capacity scheme's bookkeeping
-# costs per record.
-BENCH_TXT ?= BENCH_pr10.txt
-BENCH_JSON ?= BENCH_pr10.json
-BENCH_COUNT ?= 3
+# machine-readable form. Both default to untracked BENCH_local names, so a
+# run never overwrites an archived BENCH_pr*.json; pass BENCH_TXT and
+# BENCH_JSON to archive one. Compare the TemporalObservabilityOff/On pair
+# to bound the tracing overhead, the CheckpointOff/On pair to bound the
+# checkpoint serialization overhead, and the AccessPathScheme variants
+# against the AccessPath designs to bound what each capacity scheme's
+# bookkeeping costs per record.
+BENCH_TXT ?= BENCH_local.txt
+BENCH_JSON ?= BENCH_local.json
+BENCH_COUNT ?= 5
 bench:
 	$(GO) test -bench . -benchmem -count $(BENCH_COUNT) -run '^$$' . | tee $(BENCH_TXT)
 	$(GO) run ./tools/bench2json -o $(BENCH_JSON) < $(BENCH_TXT)

@@ -447,16 +447,31 @@ func BenchmarkDRAMService(b *testing.B) {
 	}
 }
 
+// BenchmarkSchedulerThroughput submits one request per iteration. The
+// with-bulk leg also queues a 64-cycle background job every 8th iteration,
+// rotating over the channels, so the bulk FIFO is pushed and popped at
+// steady state too.
 func BenchmarkSchedulerThroughput(b *testing.B) {
+	b.Run("requests", func(b *testing.B) { benchScheduler(b, 0) })
+	b.Run("with-bulk", func(b *testing.B) { benchScheduler(b, 8) })
+}
+
+// benchScheduler drives a 4-channel off-package scheduler; bulkEvery > 0
+// adds a bulk job every bulkEvery requests.
+func benchScheduler(b *testing.B, bulkEvery int) {
 	dev, _ := dram.New(dram.Geometry{
 		Channels: 4, BanksPerCh: 8, RowBytes: 8192, BurstBytes: 64,
 	}, iconfig.OffPackageTiming())
-	// Recycle requests through a freelist fed by the completion callback,
-	// the way the memory controller drives the scheduler at steady state.
+	// Recycle requests and jobs through freelists fed by the completion
+	// callbacks, the way the memory controller drives the scheduler at
+	// steady state.
 	var free []*sched.Request
+	var freeJobs []*sched.BulkJob
 	s, err := sched.New(dev, sched.Config{}, func(r *sched.Request) {
 		free = append(free, r)
-	}, nil)
+	}, func(j *sched.BulkJob) {
+		freeJobs = append(freeJobs, j)
+	})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -475,6 +490,17 @@ func BenchmarkSchedulerThroughput(b *testing.B) {
 		r.Arrive = now
 		r.Addr = uint64(i) * 64 % (1 << 30)
 		s.Submit(r, now)
+		if bulkEvery > 0 && i%bulkEvery == 0 {
+			var j *sched.BulkJob
+			if n := len(freeJobs); n > 0 {
+				j, freeJobs = freeJobs[n-1], freeJobs[:n-1]
+				*j = sched.BulkJob{}
+			} else {
+				j = new(sched.BulkJob)
+			}
+			j.Duration, j.Earliest = 64, now
+			s.SubmitBulk(i/bulkEvery%4, j, now)
+		}
 	}
 	s.Flush()
 }

@@ -126,6 +126,10 @@ type Migrator struct {
 	table *Table
 	mq    *policy.MultiQueue
 	clock policy.VictimSelector
+	// pinnedEmpty is the empty row the victim selector has pinned, -1 for
+	// none. Apart from retired slots it is the only pinned slot, so a
+	// repin touches just this row and the table's current empty row.
+	pinnedEmpty int
 
 	slotCount []uint32 // per-slot access counts for the current epoch
 	// naive (ablation) is a dense per-page counter plus the list of pages
@@ -201,13 +205,14 @@ func NewMigrator(opt Options) (*Migrator, error) {
 		return nil, err
 	}
 	m := &Migrator{
-		opt:       opt,
-		geom:      g,
-		table:     table,
-		mq:        mq,
-		clock:     clock,
-		slotCount: make([]uint32, opt.Slots),
-		lastSub:   make([]int32, opt.TotalPages),
+		opt:         opt,
+		geom:        g,
+		table:       table,
+		mq:          mq,
+		clock:       clock,
+		pinnedEmpty: -1,
+		slotCount:   make([]uint32, opt.Slots),
+		lastSub:     make([]int32, opt.TotalPages),
 	}
 	for i := range m.lastSub {
 		m.lastSub[i] = -1
@@ -215,9 +220,7 @@ func NewMigrator(opt Options) (*Migrator, error) {
 	if opt.NaiveMRU {
 		m.naive = make([]uint32, opt.TotalPages)
 	}
-	if er := table.EmptyRow(); er >= 0 {
-		clock.Pin(er)
-	}
+	m.repinSlots()
 	return m, nil
 }
 
@@ -517,17 +520,17 @@ func (m *Migrator) finishSwap() {
 	}
 }
 
-// repinSlots rebuilds the victim selector's pin set: retired slots and the
-// empty row stay pinned, everything else becomes eligible again.
+// repinSlots moves the victim selector's empty-row pin to the table's
+// current empty row. The pin set is then the retired slots plus that row:
+// the previously pinned row becomes eligible again unless it was retired
+// (retired slots stay pinned forever).
 func (m *Migrator) repinSlots() {
-	for s := uint64(0); s < m.table.Slots(); s++ {
-		if m.table.Retired(int(s)) {
-			continue // pinned forever
-		}
-		m.clock.Unpin(int(s))
+	if old := m.pinnedEmpty; old >= 0 && !m.table.Retired(old) {
+		m.clock.Unpin(old)
 	}
-	if er := m.table.EmptyRow(); er >= 0 {
-		m.clock.Pin(er)
+	m.pinnedEmpty = m.table.EmptyRow()
+	if m.pinnedEmpty >= 0 {
+		m.clock.Pin(m.pinnedEmpty)
 	}
 }
 

@@ -373,6 +373,13 @@ func (m *Migrator) RestoreFrom(d *snap.Decoder) error {
 		m.plan, m.snap, m.stepIdx, m.rollback = plan, ts, stepIdx, rollback
 		m.scratch = ts // recycle the restored snapshot's buffers for later swaps
 	}
+	// The pinned empty row is derived state: the last repin ran before the
+	// in-flight swap started, so it pinned the swap-start empty row; with
+	// no swap in flight it pinned the table's current one.
+	m.pinnedEmpty = m.table.EmptyRow()
+	if m.snap != nil {
+		m.pinnedEmpty = m.snap.emptyRow
+	}
 
 	m.fill.active = d.Bool()
 	m.fill.phys, m.fill.dstSlot, m.fill.old, m.fill.done = 0, 0, 0, nil

@@ -35,14 +35,18 @@ type Device struct {
 	banks   [][]bank // [channel][bank]
 	busFree []int64  // [channel] cycle the data bus frees
 
-	colBits  uint // log2(row columns) — bursts per row
-	bankBits uint
-	chanMask uint64
+	// Decode's shifts and masks, fixed at construction so decoding an
+	// address is shifts, XORs and masks only.
+	burstShift uint // log2(BurstBytes)
+	bankShift  uint // log2(channels × row columns): line bits below the bank
+	rowShift   uint // bankShift + log2(banks): line bits below the row
+	bankMask   uint64
+	chanMask   uint64
 
 	// faultHook, when set, is consulted once per serviced request burst;
 	// returning true marks the delivered data as faulty (the burst still
 	// consumed its bus and bank time — the device cannot know in advance).
-	faultHook func(a uint64, write bool, at int64) bool
+	faultHook func(loc Location, write bool, at int64) bool
 
 	// Statistics.
 	rowHits       uint64
@@ -59,8 +63,8 @@ type bank struct {
 	lastWrite bool  // last column op was a write (tWR applies at precharge)
 }
 
-// New builds a Device. Channel and bank counts must be powers of two so the
-// address can be sliced with masks.
+// New builds a Device. Channel and bank counts and the burst size must be
+// powers of two so the address can be sliced with shifts and masks.
 func New(geom Geometry, timing config.DDR3Timing) (*Device, error) {
 	if geom.Channels <= 0 || geom.Channels&(geom.Channels-1) != 0 {
 		return nil, fmt.Errorf("dram: channel count %d must be a positive power of two", geom.Channels)
@@ -68,16 +72,22 @@ func New(geom Geometry, timing config.DDR3Timing) (*Device, error) {
 	if geom.BanksPerCh <= 0 || geom.BanksPerCh&(geom.BanksPerCh-1) != 0 {
 		return nil, fmt.Errorf("dram: bank count %d must be a positive power of two", geom.BanksPerCh)
 	}
-	if geom.BurstBytes == 0 || geom.RowBytes == 0 || geom.RowBytes%geom.BurstBytes != 0 {
+	if geom.BurstBytes == 0 || geom.BurstBytes&(geom.BurstBytes-1) != 0 {
+		return nil, fmt.Errorf("dram: burst %d must be a positive power of two", geom.BurstBytes)
+	}
+	if geom.RowBytes == 0 || geom.RowBytes%geom.BurstBytes != 0 {
 		return nil, fmt.Errorf("dram: row %d must be a positive multiple of burst %d", geom.RowBytes, geom.BurstBytes)
 	}
+	bankShift := log2(uint64(geom.Channels)) + log2(geom.RowBytes/geom.BurstBytes)
 	d := &Device{
-		geom:     geom,
-		timing:   timing,
-		busFree:  make([]int64, geom.Channels),
-		colBits:  log2(geom.RowBytes / geom.BurstBytes),
-		bankBits: log2(uint64(geom.BanksPerCh)),
-		chanMask: uint64(geom.Channels - 1),
+		geom:       geom,
+		timing:     timing,
+		busFree:    make([]int64, geom.Channels),
+		burstShift: log2(geom.BurstBytes),
+		bankShift:  bankShift,
+		rowShift:   bankShift + log2(uint64(geom.BanksPerCh)),
+		bankMask:   uint64(geom.BanksPerCh - 1),
+		chanMask:   uint64(geom.Channels - 1),
 	}
 	d.banks = make([][]bank, geom.Channels)
 	for c := range d.banks {
@@ -102,23 +112,24 @@ type Location struct {
 // fill a row before switching banks — with the channel and bank indices
 // XOR-permuted by row bits (permutation-based interleaving, Zhang et al.),
 // so power-of-two strides do not resonate onto a single bank.
+//
+// A caller that touches the same address more than once (a scheduler
+// queue) decodes it once and passes the Location to RowHit and
+// ServiceChecked.
 func (d *Device) Decode(a uint64) Location {
-	line := a / d.geom.BurstBytes
-	chanBits := log2(uint64(d.geom.Channels))
-	row := int64(line >> (chanBits + d.colBits + d.bankBits))
-	b := int((line>>(chanBits+d.colBits) ^ uint64(row)) & (uint64(d.geom.BanksPerCh) - 1))
-	ch := int((line ^ uint64(row)) & d.chanMask)
-	return Location{Channel: ch, Bank: b, Row: row}
+	line := a >> d.burstShift
+	row := line >> d.rowShift
+	return Location{
+		Channel: int((line ^ row) & d.chanMask),
+		Bank:    int((line>>d.bankShift ^ row) & d.bankMask),
+		Row:     int64(row),
+	}
 }
 
-// RowHit reports whether an access to a would hit the currently open row.
-func (d *Device) RowHit(a uint64) bool {
-	loc := d.Decode(a)
+// RowHit reports whether an access at loc would hit the currently open row.
+func (d *Device) RowHit(loc Location) bool {
 	return d.banks[loc.Channel][loc.Bank].openRow == loc.Row
 }
-
-// ChannelOf returns the channel an address maps to (consistent with Decode).
-func (d *Device) ChannelOf(a uint64) int { return d.Decode(a).Channel }
 
 // BusFree returns the cycle channel ch's data bus next frees.
 func (d *Device) BusFree(ch int) int64 { return d.busFree[ch] }
@@ -133,15 +144,15 @@ func (d *Device) BusFree(ch int) int64 { return d.busFree[ch] }
 // matching real DDRx behaviour and the paper's premise that the wide
 // on-package interface streams at interposer speed.
 func (d *Device) Service(a uint64, write bool, at int64) (done, coreLat int64) {
-	done, coreLat, _ = d.ServiceChecked(a, write, at)
+	done, coreLat, _ = d.ServiceChecked(d.Decode(a), write, at)
 	return done, coreLat
 }
 
-// ServiceChecked is Service plus the device-fault check: faulted reports
-// whether the configured fault hook failed this burst (the caller decides
-// whether to retry; the timing cost has already been paid either way).
-func (d *Device) ServiceChecked(a uint64, write bool, at int64) (done, coreLat int64, faulted bool) {
-	loc := d.Decode(a)
+// ServiceChecked is Service on an already decoded address plus the
+// device-fault check: faulted reports whether the configured fault hook
+// failed this burst (the caller decides whether to retry; the timing cost
+// has already been paid either way).
+func (d *Device) ServiceChecked(loc Location, write bool, at int64) (done, coreLat int64, faulted bool) {
 	bk := &d.banks[loc.Channel][loc.Bank]
 	issue := at
 	if bk.readyAt > issue {
@@ -180,7 +191,7 @@ func (d *Device) ServiceChecked(a uint64, write bool, at int64) (done, coreLat i
 	// The DRAM-core portion: what this access would cost on an idle bank
 	// and bus, given the row-buffer state it found (Table IV's per-workload
 	// "DRAM core latency" row is the average of exactly this).
-	if d.faultHook != nil && d.faultHook(a, write, issue) {
+	if d.faultHook != nil && d.faultHook(loc, write, issue) {
 		d.faultedBursts++
 		faulted = true
 	}
@@ -189,7 +200,7 @@ func (d *Device) ServiceChecked(a uint64, write bool, at int64) (done, coreLat i
 
 // SetFaultHook installs (or clears, with nil) the per-burst fault check
 // consulted by ServiceChecked.
-func (d *Device) SetFaultHook(h func(a uint64, write bool, at int64) bool) {
+func (d *Device) SetFaultHook(h func(loc Location, write bool, at int64) bool) {
 	d.faultHook = h
 }
 

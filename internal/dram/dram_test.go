@@ -1,6 +1,7 @@
 package dram
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -26,6 +27,7 @@ func TestNewValidation(t *testing.T) {
 		{Channels: 4, BanksPerCh: 8, RowBytes: 100, BurstBytes: 64},  // row not multiple
 		{Channels: 0, BanksPerCh: 8, RowBytes: 8192, BurstBytes: 64}, // zero channels
 		{Channels: 4, BanksPerCh: 8, RowBytes: 8192, BurstBytes: 0},  // zero burst
+		{Channels: 4, BanksPerCh: 8, RowBytes: 6144, BurstBytes: 48}, // non-pow2 burst
 	}
 	for i, g := range bad {
 		if _, err := New(g, config.OffPackageTiming()); err == nil {
@@ -92,31 +94,67 @@ func TestRowConflictPaysPrechargeAndWriteRecovery(t *testing.T) {
 func TestRowHitDetection(t *testing.T) {
 	d := newTestDevice(t, 2, 8)
 	a := uint64(4096)
-	if d.RowHit(a) {
+	if d.RowHit(d.Decode(a)) {
 		t.Fatal("cold device cannot row-hit")
 	}
 	d.Service(a, false, 0)
-	if !d.RowHit(a) {
+	if !d.RowHit(d.Decode(a)) {
 		t.Fatal("same address must row-hit after access")
 	}
-	if !d.RowHit(a + 64) {
+	if !d.RowHit(d.Decode(a + 64)) {
 		// a+64 maps to a different channel at line interleave, so it may
 		// not share the row; use a same-channel neighbor instead.
 		b := a + 64*uint64(d.Geometry().Channels)
-		if d.Decode(b).Channel == d.Decode(a).Channel && d.Decode(b).Row == d.Decode(a).Row && !d.RowHit(b) {
+		if d.Decode(b).Channel == d.Decode(a).Channel && d.Decode(b).Row == d.Decode(a).Row && !d.RowHit(d.Decode(b)) {
 			t.Fatal("same-row neighbor must row-hit")
 		}
 	}
 }
 
-func TestDecodeConsistentWithChannelOf(t *testing.T) {
-	d := newTestDevice(t, 4, 8)
-	f := func(a uint64) bool {
-		a %= 1 << 32
-		return d.Decode(a).Channel == d.ChannelOf(a)
+// divisionDecode is Decode as first written, dividing by the burst size and
+// recomputing every field width per call: the reference the shift-based
+// Decode must reproduce bit for bit.
+func divisionDecode(g Geometry, a uint64) Location {
+	log2 := func(v uint64) uint {
+		var n uint
+		for v > 1 {
+			v >>= 1
+			n++
+		}
+		return n
 	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
+	line := a / g.BurstBytes
+	chanBits := log2(uint64(g.Channels))
+	colBits := log2(g.RowBytes / g.BurstBytes)
+	bankBits := log2(uint64(g.BanksPerCh))
+	row := int64(line >> (chanBits + colBits + bankBits))
+	b := int((line>>(chanBits+colBits) ^ uint64(row)) & (uint64(g.BanksPerCh) - 1))
+	ch := int((line ^ uint64(row)) & uint64(g.Channels-1))
+	return Location{Channel: ch, Bank: b, Row: row}
+}
+
+func TestDecodeMatchesDivisionReference(t *testing.T) {
+	tg := config.TraceGeometry()
+	geoms := map[string]Geometry{
+		"on-package":  {Channels: tg.OnChannels, BanksPerCh: tg.OnBanksPerCh, RowBytes: tg.RowSize, BurstBytes: tg.BurstBytes},
+		"off-package": {Channels: tg.OffChannels, BanksPerCh: tg.OffBanksPerCh, RowBytes: tg.RowSize, BurstBytes: tg.BurstBytes},
+		"1ch-1bank":   {Channels: 1, BanksPerCh: 1, RowBytes: 8192, BurstBytes: 64},
+	}
+	rng := rand.New(rand.NewSource(1))
+	for name, g := range geoms {
+		d, err := New(g, config.OffPackageTiming())
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for i := 0; i < 20000; i++ {
+			a := rng.Uint64()
+			if i%2 == 0 {
+				a %= 8 << 30 // dense in the simulated capacity range
+			}
+			if got, want := d.Decode(a), divisionDecode(g, a); got != want {
+				t.Fatalf("%s: Decode(%#x) = %+v, reference %+v", name, a, got, want)
+			}
+		}
 	}
 }
 
@@ -195,7 +233,7 @@ func TestReset(t *testing.T) {
 	if h, m, c, b := d.Stats(); h+m+c+b != 0 {
 		t.Fatal("stats not cleared")
 	}
-	if d.BusFree(0) != 0 || d.RowHit(0) {
+	if d.BusFree(0) != 0 || d.RowHit(d.Decode(0)) {
 		t.Fatal("device state not cleared")
 	}
 }

@@ -373,7 +373,7 @@ func New(cfg Config, onResult func(AccessResult)) (*Controller, error) {
 	if c.inj != nil {
 		c.frameFaults = make([]int, g.OnPackageSlots())
 		c.retireQueued = make([]bool, g.OnPackageSlots())
-		hook := func(a uint64, write bool, at int64) bool {
+		hook := func(dram.Location, bool, int64) bool {
 			return c.inj.Fault(fault.PointDevice)
 		}
 		c.onDev.SetFaultHook(hook)

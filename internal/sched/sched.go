@@ -21,6 +21,7 @@ package sched
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 
 	"heteromem/internal/dram"
@@ -58,6 +59,10 @@ type Request struct {
 	// across legs. The default scheme leaves both zero.
 	Stage uint8
 	Aux   uint64
+
+	// loc is Addr decoded once at Submit; arbitration and service read it
+	// instead of decoding the address again.
+	loc dram.Location
 }
 
 // Latency returns the request's region-internal latency (queue + DRAM).
@@ -76,6 +81,36 @@ type BulkJob struct {
 
 	remaining int64
 	enqueued  int64
+}
+
+// jobFIFO is one channel's background queue: a ring over a power-of-two
+// buffer. Dequeueing is O(1) however deep the backlog, and a steady
+// backlog keeps reusing its buffer instead of reallocating.
+type jobFIFO struct {
+	buf  []*BulkJob // len is zero or a power of two
+	head int
+	n    int
+}
+
+// at returns the i-th queued job, 0 being the head.
+func (q *jobFIFO) at(i int) *BulkJob { return q.buf[(q.head+i)&(len(q.buf)-1)] }
+
+func (q *jobFIFO) push(j *BulkJob) {
+	if q.n == len(q.buf) {
+		grown := make([]*BulkJob, max(4, 2*len(q.buf)))
+		for i := range q.n {
+			grown[i] = q.at(i)
+		}
+		q.buf, q.head = grown, 0
+	}
+	q.buf[(q.head+q.n)&(len(q.buf)-1)] = j
+	q.n++
+}
+
+func (q *jobFIFO) pop() {
+	q.buf[q.head] = nil
+	q.head = (q.head + 1) & (len(q.buf) - 1)
+	q.n--
 }
 
 // Config tunes scheduler behaviour.
@@ -113,11 +148,11 @@ type Scheduler struct {
 	onFault func(*Request) (retry bool, backoff int64)
 
 	pending [][]*Request // per channel, arrival order
-	bulk    [][]*BulkJob // per channel, FIFO
+	bulk    []jobFIFO    // per channel
 	next    []int64      // per channel: earliest next command-issue decision
 	grant   []int64      // per channel: last aging-grant time (starvation backstop)
 	wake    []int64      // per channel: no decision can commit before this (0 = unknown)
-	work    int          // outstanding requests + bulk jobs across all channels
+	busy    uint64       // bit ch set while channel ch has a request or bulk job queued
 	tcl     int64        // cached device TCL for command/data pipelining
 	fcfs    bool         // ablation: strict FCFS instead of FR-FCFS
 
@@ -133,10 +168,15 @@ type Scheduler struct {
 
 // New builds a scheduler over dev. onDone fires as each request's service
 // is finalized (possibly out of submission order); onBulk fires as each
-// background job completes. Either callback may be nil.
+// background job completes. Either callback may be nil. The device may
+// have at most 64 channels, one bit each in the busy mask.
 func New(dev *dram.Device, cfg Config, onDone func(*Request), onBulk func(*BulkJob)) (*Scheduler, error) {
 	if dev == nil {
 		return nil, fmt.Errorf("sched: nil device")
+	}
+	n := dev.Geometry().Channels
+	if n > 64 {
+		return nil, fmt.Errorf("sched: %d channels, at most 64 supported", n)
 	}
 	aging := cfg.AgingLimit
 	if aging <= 0 {
@@ -146,7 +186,6 @@ func New(dev *dram.Device, cfg Config, onDone func(*Request), onBulk func(*BulkJ
 	if quantum <= 0 {
 		quantum = DefaultStealQuantum
 	}
-	n := dev.Geometry().Channels
 	return &Scheduler{
 		dev:     dev,
 		aging:   aging,
@@ -155,7 +194,7 @@ func New(dev *dram.Device, cfg Config, onDone func(*Request), onBulk func(*BulkJ
 		onDone:  onDone,
 		onBulk:  onBulk,
 		pending: make([][]*Request, n),
-		bulk:    make([][]*BulkJob, n),
+		bulk:    make([]jobFIFO, n),
 		next:    make([]int64, n),
 		grant:   make([]int64, n),
 		wake:    make([]int64, n),
@@ -166,9 +205,9 @@ func New(dev *dram.Device, cfg Config, onDone func(*Request), onBulk func(*BulkJ
 // Submit enqueues a request and advances its channel as far as the global
 // clock `now` (>= r.Arrive) allows.
 func (s *Scheduler) Submit(r *Request, now int64) {
-	ch := s.dev.ChannelOf(r.Addr)
-	s.insert(ch, r)
-	s.drain(ch, now)
+	r.loc = s.dev.Decode(r.Addr)
+	s.insert(r.loc.Channel, r)
+	s.drain(r.loc.Channel, now)
 }
 
 // SetFaultHandler installs the retry-policy callback consulted when the
@@ -183,8 +222,12 @@ func (s *Scheduler) SetFaultHandler(h func(*Request) (retry bool, backoff int64)
 // the future and may interleave with younger submissions, so the queue
 // must stay sorted for the decision-time logic to hold.
 func (s *Scheduler) insert(ch int, r *Request) {
-	s.work++
+	s.busy |= 1 << uint(ch)
 	q := s.pending[ch]
+	if n := len(q); n == 0 || q[n-1].Arrive <= r.Arrive {
+		s.pending[ch] = append(q, r)
+		return
+	}
 	i := sort.Search(len(q), func(i int) bool { return q[i].Arrive > r.Arrive })
 	q = append(q, nil)
 	copy(q[i+1:], q[i:])
@@ -199,24 +242,26 @@ func (s *Scheduler) SubmitBulk(ch int, j *BulkJob, now int64) {
 	if j.Earliest > j.enqueued {
 		j.enqueued = j.Earliest
 	}
-	s.work++
-	s.bulk[ch] = append(s.bulk[ch], j)
+	s.busy |= 1 << uint(ch)
+	s.bulk[ch].push(j)
 	s.drain(ch, now)
 }
 
 // Advance lets every channel commit decisions up to the global clock `now`;
 // call this periodically so background traffic progresses on channels with
 // no foreground arrivals.
+//
+// Advance runs on every access, so it visits only the busy channels, in
+// ascending order. The mask is re-read after each drain: a completion
+// callback may queue work on a later channel, which is then drained in the
+// same call.
 func (s *Scheduler) Advance(now int64) {
-	// Advance runs on every access; when the region is fully idle (the
-	// common case for the lightly-loaded side) it is one integer check.
-	if s.work == 0 {
-		return
-	}
-	for ch := range s.pending {
-		if len(s.pending[ch]) == 0 && len(s.bulk[ch]) == 0 {
-			continue
+	for ch := 0; ; ch++ {
+		later := s.busy >> uint(ch)
+		if later == 0 {
+			return
 		}
+		ch += bits.TrailingZeros64(later)
 		// drain recorded when the channel's next decision becomes safe;
 		// until the clock gets there a re-drain would just recompute the
 		// same early exit.
@@ -247,8 +292,9 @@ func (s *Scheduler) drain(ch int, now int64) {
 	s.wake[ch] = 0
 	for {
 		fg := s.pending[ch]
-		bg := s.bulk[ch]
-		if len(fg) == 0 && len(bg) == 0 {
+		bg := &s.bulk[ch]
+		if len(fg) == 0 && bg.n == 0 {
+			s.busy &^= 1 << uint(ch)
 			return
 		}
 		busFree := s.dev.BusFree(ch)
@@ -266,8 +312,8 @@ func (s *Scheduler) drain(ch int, now int64) {
 		}
 
 		// Background cycle-stealing.
-		if len(bg) > 0 {
-			j := bg[0]
+		if bg.n > 0 {
+			j := bg.at(0)
 			if j.Earliest <= now {
 				bgAt := busFree
 				if j.Earliest > bgAt {
@@ -304,7 +350,7 @@ func (s *Scheduler) drain(ch int, now int64) {
 					j.remaining -= quantum
 					if j.remaining == 0 {
 						j.Done = end
-						s.bulk[ch] = bg[1:]
+						bg.pop()
 						s.bulkServed++
 						if s.onBulk != nil {
 							s.onBulk(j)
@@ -321,7 +367,7 @@ func (s *Scheduler) drain(ch int, now int64) {
 		}
 
 		if len(fg) == 0 || fgAt > now {
-			if len(fg) > 0 && len(bg) == 0 {
+			if len(fg) > 0 && bg.n == 0 {
 				// Nothing can commit before fgAt: the queue is sorted by
 				// arrival and s.next only moves through this loop, and with
 				// no background job there is no cycle-stealing to revisit.
@@ -338,7 +384,7 @@ func (s *Scheduler) drain(ch int, now int64) {
 				if r.Arrive > fgAt {
 					break
 				}
-				if s.dev.RowHit(r.Addr) {
+				if s.dev.RowHit(r.loc) {
 					pick = i
 					break
 				}
@@ -348,12 +394,13 @@ func (s *Scheduler) drain(ch int, now int64) {
 			pick = 0
 		}
 		r := fg[pick]
-		done, coreLat, faulted := s.dev.ServiceChecked(r.Addr, r.Write, fgAt)
+		done, coreLat, faulted := s.dev.ServiceChecked(r.loc, r.Write, fgAt)
 		if n := done - s.tcl; n > s.next[ch] {
 			s.next[ch] = n
 		}
-		s.pending[ch] = append(fg[:pick], fg[pick+1:]...)
-		s.work--
+		n := pick + copy(fg[pick:], fg[pick+1:])
+		fg[n] = nil
+		s.pending[ch] = fg[:n]
 		if faulted && s.onFault != nil {
 			if retry, backoff := s.onFault(r); retry {
 				// The bad burst consumed real bus time; the retry re-arrives
@@ -387,7 +434,7 @@ func (s *Scheduler) QueueLen() int {
 func (s *Scheduler) BulkBacklog() int {
 	n := 0
 	for _, q := range s.bulk {
-		n += len(q)
+		n += q.n
 	}
 	return n
 }

@@ -198,3 +198,151 @@ func TestNilDeviceRejected(t *testing.T) {
 		t.Fatal("nil device accepted")
 	}
 }
+
+func TestNewRejectsMoreThan64Channels(t *testing.T) {
+	dev, err := dram.New(dram.Geometry{
+		Channels: 128, BanksPerCh: 8, RowBytes: 8192, BurstBytes: 64,
+	}, config.OffPackageTiming())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(dev, Config{}, nil, nil); err == nil {
+		t.Fatal("128-channel device accepted; the busy mask has 64 bits")
+	}
+}
+
+func TestIdleAfterBulkCompletes(t *testing.T) {
+	var reqs, bulks int
+	s := newSched(t, 2, Config{}, func(*Request) { reqs++ }, func(*BulkJob) { bulks++ })
+	s.SubmitBulk(1, &BulkJob{Duration: 200, Earliest: 0}, 0)
+	s.Submit(&Request{ID: 1, Arrive: 10, Addr: 0}, 10)
+	s.Advance(100000)
+	if reqs != 1 || bulks != 1 {
+		t.Fatalf("completed %d requests and %d bulk jobs, want 1 and 1", reqs, bulks)
+	}
+	if s.busy != 0 {
+		t.Fatalf("busy mask %#b after every queue drained, want 0", s.busy)
+	}
+}
+
+// TestRetryReinsertsInArrivalOrder: a faulted request re-arrives after its
+// backoff, later than requests submitted after it, and must be queued
+// between them by its new arrival, not appended behind them.
+func TestRetryReinsertsInArrivalOrder(t *testing.T) {
+	var order []uint64
+	s := newSched(t, 1, Config{FCFSOnly: true}, func(r *Request) { order = append(order, r.ID) }, nil)
+	bursts := 0
+	s.Device().SetFaultHook(func(dram.Location, bool, int64) bool {
+		bursts++
+		return bursts == 2 // the first attempt of request 1
+	})
+	const backoff = 50
+	s.SetFaultHandler(func(*Request) (bool, int64) { return true, backoff })
+
+	reqs := []*Request{
+		{ID: 0, Arrive: 0, Addr: 0},
+		{ID: 1, Arrive: 1, Addr: 64},
+		{ID: 2, Arrive: 2, Addr: 128},
+		{ID: 3, Arrive: 3, Addr: 192},
+		{ID: 4, Arrive: 1000, Addr: 256},
+	}
+	for _, r := range reqs {
+		s.Submit(r, r.Arrive)
+	}
+	s.Flush()
+
+	if reqs[1].Attempts != 1 {
+		t.Fatalf("request 1 made %d faulted attempts, want 1", reqs[1].Attempts)
+	}
+	if a := reqs[1].Arrive; a <= reqs[3].Arrive || a >= reqs[4].Arrive {
+		t.Fatalf("retry re-arrived at %d, want between %d and %d", a, reqs[3].Arrive, reqs[4].Arrive)
+	}
+	want := []uint64{0, 2, 3, 1, 4}
+	if len(order) != len(want) {
+		t.Fatalf("service order %v, want %v", order, want)
+	}
+	for i := range want {
+		if order[i] != want[i] {
+			t.Fatalf("service order %v, want %v (arrival order after the retry)", order, want)
+		}
+	}
+	for i := 1; i < len(order); i++ {
+		if prev, cur := reqs[order[i-1]], reqs[order[i]]; cur.Start < prev.Start {
+			t.Fatalf("request %d started at %d, before request %d at %d", cur.ID, cur.Start, prev.ID, prev.Start)
+		}
+	}
+}
+
+// TestAdvanceDrainsChannelsQueuedByCallbacks: a completion callback that
+// queues work on a higher channel during Advance gets that channel drained
+// in the same call, as an ascending scan of every channel would.
+func TestAdvanceDrainsChannelsQueuedByCallbacks(t *testing.T) {
+	var s *Scheduler
+	follow := &BulkJob{Tag: 2, Duration: 100}
+	s = newSched(t, 4, Config{}, nil, func(j *BulkJob) {
+		if j.Tag == 1 {
+			follow.Earliest = j.Done
+			s.SubmitBulk(3, follow, j.Done)
+		}
+	})
+	first := &BulkJob{Tag: 1, Duration: 100}
+	s.SubmitBulk(0, first, 0)
+	s.Advance(1000)
+	if first.Done != 100 {
+		t.Fatalf("first job done at %d, want 100", first.Done)
+	}
+	if follow.Done != 200 {
+		t.Fatalf("job queued on channel 3 by the callback done at %d, want 200 in the same Advance", follow.Done)
+	}
+	if s.busy != 0 {
+		t.Fatalf("busy mask %#b after both jobs completed, want 0", s.busy)
+	}
+}
+
+// TestSchedulerSteadyStateZeroAlloc drives recycled requests interleaved
+// with bulk jobs, the way the memory controller does, and requires the
+// warmed-up scheduler to allocate nothing.
+func TestSchedulerSteadyStateZeroAlloc(t *testing.T) {
+	var freeReqs []*Request
+	var freeJobs []*BulkJob
+	s := newSched(t, 4, Config{},
+		func(r *Request) { freeReqs = append(freeReqs, r) },
+		func(j *BulkJob) { freeJobs = append(freeJobs, j) })
+	var i int64
+	round := func() {
+		for k := 0; k < 64; k++ {
+			i++
+			now := i * 25
+			var r *Request
+			if n := len(freeReqs); n > 0 {
+				r, freeReqs = freeReqs[n-1], freeReqs[:n-1]
+				*r = Request{}
+			} else {
+				r = new(Request)
+			}
+			r.ID, r.Arrive, r.Addr = uint64(i), now, uint64(i)*64%(1<<30)
+			s.Submit(r, now)
+			if k%8 == 0 {
+				var j *BulkJob
+				if n := len(freeJobs); n > 0 {
+					j, freeJobs = freeJobs[n-1], freeJobs[:n-1]
+					*j = BulkJob{}
+				} else {
+					j = new(BulkJob)
+				}
+				j.Duration, j.Earliest = 64, now
+				s.SubmitBulk(int(i%4), j, now)
+			}
+			s.Advance(now)
+		}
+	}
+	for w := 0; w < 100; w++ {
+		round() // grow the queues and freelists to their steady size
+	}
+	if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
+		t.Fatalf("steady-state scheduling allocated %.1f times per round, want 0", allocs)
+	}
+	if _, bulks, _ := s.Stats(); bulks == 0 {
+		t.Fatal("no bulk job completed; the bulk leg was not exercised")
+	}
+}

@@ -21,8 +21,10 @@ func (s *Scheduler) SnapshotTo(e *snap.Encoder) {
 			e.Bool(r.Write)
 			e.U32(uint32(r.Attempts))
 		}
-		e.U32(uint32(len(s.bulk[ch])))
-		for _, j := range s.bulk[ch] {
+		q := &s.bulk[ch]
+		e.U32(uint32(q.n))
+		for i := range q.n {
+			j := q.at(i)
 			e.U64(j.Tag)
 			e.I64(j.Duration)
 			e.I64(j.Earliest)
@@ -39,7 +41,8 @@ func (s *Scheduler) SnapshotTo(e *snap.Encoder) {
 // RestoreFrom reads the state written by SnapshotTo into a scheduler built
 // over the same device and config, materializing fresh Request and BulkJob
 // objects. Callers that keyed auxiliary state on the old pointers reattach
-// it through ForEachPending / ForEachBulk.
+// it through ForEachPending / ForEachBulk. The derived state, the busy mask
+// and each request's decoded location, is rebuilt rather than serialized.
 func (s *Scheduler) RestoreFrom(d *snap.Decoder) error {
 	nc := int(d.U32())
 	if d.Err() != nil {
@@ -49,6 +52,7 @@ func (s *Scheduler) RestoreFrom(d *snap.Decoder) error {
 		d.Invalid("scheduler has %d channels, snapshot has %d", len(s.pending), nc)
 		return d.Err()
 	}
+	s.busy = 0
 	for ch := range s.pending {
 		s.next[ch] = d.I64()
 		s.grant[ch] = d.I64()
@@ -68,13 +72,18 @@ func (s *Scheduler) RestoreFrom(d *snap.Decoder) error {
 			if d.Err() != nil {
 				return d.Err()
 			}
+			r.loc = s.dev.Decode(r.Addr)
+			if r.loc.Channel != ch {
+				d.Invalid("request %d in channel %d queue decodes to channel %d", r.ID, ch, r.loc.Channel)
+				return d.Err()
+			}
 			s.pending[ch] = append(s.pending[ch], r)
 		}
 		nb := int(d.U32())
 		if d.Err() != nil {
 			return d.Err()
 		}
-		s.bulk[ch] = make([]*BulkJob, 0, nb)
+		s.bulk[ch] = jobFIFO{}
 		for i := 0; i < nb; i++ {
 			j := &BulkJob{
 				Tag:      d.U64(),
@@ -86,16 +95,16 @@ func (s *Scheduler) RestoreFrom(d *snap.Decoder) error {
 			if d.Err() != nil {
 				return d.Err()
 			}
-			s.bulk[ch] = append(s.bulk[ch], j)
+			s.bulk[ch].push(j)
+		}
+		if nf > 0 || nb > 0 {
+			s.busy |= 1 << uint(ch)
 		}
 	}
 	s.served = d.U64()
 	s.bulkServed = d.U64()
 	s.sumQueueing = d.I64()
 	s.agingGrants = d.U64()
-	// The outstanding-work count is derived state; rebuild it from the
-	// restored queues rather than serializing it.
-	s.work = s.QueueLen() + s.BulkBacklog()
 	return d.Err()
 }
 
@@ -112,9 +121,10 @@ func (s *Scheduler) ForEachPending(fn func(ch int, r *Request)) {
 // ForEachBulk visits every waiting background job in deterministic order
 // (channel ascending, queue position ascending).
 func (s *Scheduler) ForEachBulk(fn func(ch int, j *BulkJob)) {
-	for ch, q := range s.bulk {
-		for _, j := range q {
-			fn(ch, j)
+	for ch := range s.bulk {
+		q := &s.bulk[ch]
+		for i := range q.n {
+			fn(ch, q.at(i))
 		}
 	}
 }
