@@ -61,6 +61,7 @@ fuzz-regression:
 	$(GO) test ./internal/scheme/ -run 'Fuzz'
 	$(GO) test ./internal/dsweep/ -run 'Fuzz'
 	$(GO) test ./internal/flog/ -run 'Fuzz'
+	$(GO) test ./internal/sim/ -run 'Fuzz'
 
 # Active fuzzing (not part of ci; run locally when touching the parsers).
 FUZZTIME ?= 30s
@@ -73,6 +74,7 @@ fuzz:
 	$(GO) test ./internal/scheme/ -fuzz FuzzSetCodec -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/dsweep/ -fuzz FuzzReadFrame -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/flog/ -fuzz FuzzJournalRead -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/sim/ -fuzz FuzzCheckpointRestore -fuzztime $(FUZZTIME)
 
 # Benchmarks: the raw text is benchstat input, the JSON is the archived
 # machine-readable form. Both default to untracked BENCH_local names, so a

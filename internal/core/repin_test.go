@@ -28,8 +28,7 @@ func fullRebuildPins(t *Table, pins []bool) {
 func restoreMidSwap(t *testing.T, m *Migrator) *Migrator {
 	t.Helper()
 	e := snap.NewEncoder()
-	e.Section("migrator")
-	m.SnapshotTo(e)
+	m.Snap(e.Section("migrator"))
 	blob, err := e.Finish()
 	if err != nil {
 		t.Fatal(err)
@@ -38,15 +37,16 @@ func restoreMidSwap(t *testing.T, m *Migrator) *Migrator {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Section("migrator"); err != nil {
+	s, err := d.Section("migrator")
+	if err != nil {
 		t.Fatal(err)
 	}
 	fresh, err := NewMigrator(m.opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fresh.RestoreFrom(d); err != nil {
-		t.Fatalf("restore mid-swap: %v", err)
+	if fresh.Snap(s); s.Err() != nil {
+		t.Fatalf("restore mid-swap: %v", s.Err())
 	}
 	return fresh
 }

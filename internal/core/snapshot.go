@@ -1,99 +1,68 @@
 package core
 
-import (
-	"sort"
+import "heteromem/internal/snap"
 
-	"heteromem/internal/snap"
-)
-
-// SnapshotTo writes the table's full mutable state: the RAM direction,
-// P bits, empty row, retirement state, exile map, and the P-bit transition
+// Snap carries the table's full mutable state: the RAM direction, P bits,
+// empty row, retirement state, exile map, and the P-bit transition
 // counters. The CAM is derived state and is rebuilt on restore. Shape
-// (slot count, total pages) is a construction input and is validated.
-func (t *Table) SnapshotTo(e *snap.Encoder) {
-	e.U64(t.n)
-	e.U64(t.total)
-	for _, r := range t.resident {
-		e.U64(r)
-	}
-	for _, p := range t.pending {
-		e.Bool(p)
-	}
-	e.I64(int64(t.emptyRow))
-	for _, r := range t.retired {
-		e.Bool(r)
-	}
-	// Index order over the dense array is ascending-page order, matching the
-	// sorted-by-page framing the map-backed encoder always wrote.
-	e.U32(uint32(t.exiledCount))
-	for p, spare := range t.exiledTo {
-		if spare != Empty {
-			e.U64(uint64(p))
-			e.U64(spare)
-		}
-	}
-	e.U64(t.spares)
-	e.U64(t.pendingSets)
-	e.U64(t.pendingClears)
-}
-
-// RestoreFrom reads the state written by SnapshotTo into a table built
-// with the same shape. P bits are written directly (not via SetPending)
-// so the serialized transition counters restore exactly.
-func (t *Table) RestoreFrom(d *snap.Decoder) error {
-	n := d.U64()
-	total := d.U64()
-	if d.Err() != nil {
-		return d.Err()
-	}
-	if n != t.n || total != t.total {
-		d.Invalid("table shape is %dx%d, snapshot has %dx%d", t.n, t.total, n, total)
-		return d.Err()
+// (slot count, total pages) is a construction input and is validated. P
+// bits are written directly (not via SetPending) so the serialized
+// transition counters restore exactly.
+func (t *Table) Snap(s *snap.Stream) {
+	n, total := t.n, t.total
+	s.U64(&n)
+	s.U64(&total)
+	if s.Err() == nil && (n != t.n || total != t.total) {
+		s.Invalid("table shape is %dx%d, snapshot has %dx%d", t.n, t.total, n, total)
+		return
 	}
 	for i := range t.resident {
-		t.resident[i] = d.U64()
+		s.U64(&t.resident[i])
 	}
 	for i := range t.pending {
-		t.pending[i] = d.Bool()
+		s.Bool(&t.pending[i])
 	}
-	t.emptyRow = int(d.I64())
+	snap.Int64(s, &t.emptyRow)
 	for i := range t.retired {
-		t.retired[i] = d.Bool()
+		s.Bool(&t.retired[i])
 	}
-	ne := int(d.U32())
-	if d.Err() != nil {
-		return d.Err()
-	}
-	for i := range t.exiledTo {
-		t.exiledTo[i] = Empty
-	}
-	t.exiledCount = 0
-	for i := 0; i < ne; i++ {
-		p := d.U64()
-		spare := d.U64()
-		if d.Err() != nil {
-			return d.Err()
-		}
-		if p >= t.n {
-			d.Invalid("exiled page %d out of range", p)
-			return d.Err()
-		}
-		if t.exiledTo[p] != Empty {
-			d.Invalid("exiled page %d appears twice", p)
-			return d.Err()
-		}
-		t.setExiled(p, spare)
-	}
-	t.spares = d.U64()
-	t.pendingSets = d.U64()
-	t.pendingClears = d.U64()
-	if d.Err() != nil {
-		return d.Err()
+	snap.Sparse(s, "exiled page", t.exiledTo, Empty, snap.Int64[int], (*snap.Stream).U64)
+	s.U64(&t.spares)
+	s.U64(&t.pendingSets)
+	s.U64(&t.pendingClears)
+	if !s.Reading() || s.Err() != nil {
+		return
 	}
 	if t.emptyRow < -1 || t.emptyRow >= int(t.n) {
-		d.Invalid("empty row %d out of range", t.emptyRow)
-		return d.Err()
+		s.Invalid("empty row %d out of range", t.emptyRow)
+		return
 	}
+	if !residentsInRange(s, t.resident, t.total) {
+		return
+	}
+	t.exiledCount = 0
+	for _, spare := range t.exiledTo {
+		if spare != Empty {
+			t.exiledCount++
+		}
+	}
+	t.reindex()
+}
+
+// residentsInRange rejects a restored RAM direction naming a page outside
+// the total page space, which the CAM rebuild would index out of range.
+func residentsInRange(s *snap.Stream, resident []uint64, total uint64) bool {
+	for slot, r := range resident {
+		if r != Empty && r >= total {
+			s.Invalid("slot %d holds page %d beyond the %d-page space", slot, r, total)
+			return false
+		}
+	}
+	return true
+}
+
+// reindex rebuilds the CAM from the RAM direction.
+func (t *Table) reindex() {
 	for p := range t.back {
 		t.back[p] = noSlot
 	}
@@ -102,46 +71,28 @@ func (t *Table) RestoreFrom(d *snap.Decoder) error {
 			t.back[r] = int32(s)
 		}
 	}
-	return d.Err()
 }
 
-// snapshotTo writes a rollback snapshot (the table state at swap start).
-func (ts *TableSnapshot) snapshotTo(e *snap.Encoder) {
-	e.U32(uint32(len(ts.resident)))
-	for _, r := range ts.resident {
-		e.U64(r)
+// snap carries a rollback snapshot (the table state at swap start) of t.
+func (ts *TableSnapshot) snap(s *snap.Stream, t *Table) {
+	if s.Reading() {
+		ts.resident = make([]uint64, t.n)
+		ts.pending = make([]bool, t.n)
 	}
-	for _, p := range ts.pending {
-		e.Bool(p)
-	}
-	e.I64(int64(ts.emptyRow))
-}
-
-// restoreTableSnapshot reads a rollback snapshot for a table with n slots.
-func restoreTableSnapshot(d *snap.Decoder, n uint64) *TableSnapshot {
-	ln := int(d.U32())
-	if d.Err() != nil {
-		return nil
-	}
-	if uint64(ln) != n {
-		d.Invalid("rollback snapshot covers %d slots, table has %d", ln, n)
-		return nil
-	}
-	ts := &TableSnapshot{
-		resident: make([]uint64, ln),
-		pending:  make([]bool, ln),
-	}
+	s.Shape(len(ts.resident), "rollback snapshot slots")
 	for i := range ts.resident {
-		ts.resident[i] = d.U64()
+		s.U64(&ts.resident[i])
 	}
 	for i := range ts.pending {
-		ts.pending[i] = d.Bool()
+		s.Bool(&ts.pending[i])
 	}
-	ts.emptyRow = int(d.I64())
-	if d.Err() != nil {
-		return nil
+	snap.Int64(s, &ts.emptyRow)
+	if !s.Reading() || s.Err() != nil || !residentsInRange(s, ts.resident, t.total) {
+		return
 	}
-	return ts
+	if ts.emptyRow < -1 || ts.emptyRow >= int(t.n) {
+		s.Invalid("rollback empty row %d out of range", ts.emptyRow)
+	}
 }
 
 // rewoundTo builds a detached read-only view of the table as it stood at
@@ -161,258 +112,131 @@ func (t *Table) rewoundTo(ts *TableSnapshot) *Table {
 		exiledCount: t.exiledCount,
 		spares:      t.spares,
 	}
-	for p := range tmp.back {
-		tmp.back[p] = noSlot
-	}
-	for s, r := range tmp.resident {
-		if r != Empty && r >= tmp.n {
-			tmp.back[r] = int32(s)
-		}
-	}
+	tmp.reindex()
 	return tmp
 }
 
-// SnapshotTo writes the migrator's dynamic state: the table, the hotness
+// Snap carries one sub-block copy leg.
+func (c *SubCopy) Snap(s *snap.Stream) {
+	s.U64(&c.Src)
+	s.U64(&c.Dst)
+	s.U64(&c.Bytes)
+	snap.Int64(s, &c.SubIndex)
+	s.Bool(&c.Exchange)
+}
+
+// Snap carries the migrator's dynamic state: the table, the hotness
 // trackers, the epoch counters, the in-flight swap (rebuilt on restore from
 // the swap-start snapshot, since plan steps carry closures), the live-fill
 // state, and the activity counters. Options and geometry are construction
 // inputs.
-func (m *Migrator) SnapshotTo(e *snap.Encoder) {
-	m.table.SnapshotTo(e)
-	m.mq.SnapshotTo(e)
-	m.clock.SnapshotTo(e)
+func (m *Migrator) Snap(s *snap.Stream) {
+	m.table.Snap(s)
+	m.mq.Snap(s)
+	m.clock.Snap(s)
 
-	e.U32(uint32(len(m.slotCount)))
-	for _, c := range m.slotCount {
-		e.U32(c)
-	}
-	e.Bool(m.naive != nil)
-	if m.naive != nil {
-		// Only this epoch's touched pages can be non-zero; sort them so the
-		// framing matches the sorted-map encoding exactly.
-		pages := make([]uint64, 0, len(m.naiveDirty))
-		for _, p := range m.naiveDirty {
-			if m.naive[p] != 0 {
-				pages = append(pages, p)
-			}
-		}
-		sort.Slice(pages, func(i, j int) bool { return pages[i] < pages[j] })
-		e.U32(uint32(len(pages)))
-		for _, p := range pages {
-			e.U64(p)
-			e.U32(m.naive[p])
-		}
-	}
-	nls := 0
-	for _, s := range m.lastSub {
-		if s >= 0 {
-			nls++
-		}
-	}
-	e.U32(uint32(nls))
-	for p, s := range m.lastSub {
-		if s >= 0 {
-			e.U64(uint64(p))
-			e.U32(uint32(s))
-		}
-	}
-	e.U64(m.sinceTick)
-	e.Bool(m.degraded)
-
-	e.Bool(m.plan != nil)
-	if m.plan != nil {
-		e.U64(m.plan.MRU)
-		e.I64(int64(m.plan.Victim))
-		e.U32(uint32(m.stepIdx))
-		e.U32(uint32(len(m.plan.Steps)))
-		e.Bool(m.rollback)
-		m.snap.snapshotTo(e)
-	}
-
-	e.Bool(m.fill.active)
-	if m.fill.active {
-		e.U64(m.fill.phys)
-		e.U64(m.fill.dstSlot)
-		e.U64(m.fill.old)
-		e.U32(uint32(len(m.fill.done)))
-		for _, b := range m.fill.done {
-			e.Bool(b)
-		}
-	}
-
-	e.U64(m.stats.Epochs)
-	e.U64(m.stats.SwapsStarted)
-	e.U64(m.stats.SwapsCompleted)
-	e.U64(m.stats.TriggersBlocked)
-	e.U64(m.stats.TriggersCold)
-	e.U64(m.stats.PagesCopied)
-	e.U64(m.stats.BytesCopied)
-	e.U64(m.stats.LiveEarlyHits)
-	e.U64(m.stats.SwapsRolledBack)
-	e.U64(m.stats.SlotsRetired)
-}
-
-// RestoreFrom reads the state written by SnapshotTo into a migrator built
-// with the same options. An in-flight swap's plan is rebuilt by running the
-// design's plan builder against the table rewound to the serialized
-// swap-start snapshot, which reproduces the original steps exactly (the
-// builders are deterministic functions of that state).
-func (m *Migrator) RestoreFrom(d *snap.Decoder) error {
-	if err := m.table.RestoreFrom(d); err != nil {
-		return err
-	}
-	if err := m.mq.RestoreFrom(d); err != nil {
-		return err
-	}
-	if err := m.clock.RestoreFrom(d); err != nil {
-		return err
-	}
-
-	nc := int(d.U32())
-	if d.Err() != nil {
-		return d.Err()
-	}
-	if nc != len(m.slotCount) {
-		d.Invalid("migrator tracks %d slots, snapshot has %d", len(m.slotCount), nc)
-		return d.Err()
-	}
+	s.Shape(len(m.slotCount), "migrator slot counts")
 	for i := range m.slotCount {
-		m.slotCount[i] = d.U32()
+		s.U32(&m.slotCount[i])
 	}
-	hasNaive := d.Bool()
-	if d.Err() != nil {
-		return d.Err()
-	}
-	if hasNaive != (m.naive != nil) {
-		d.Invalid("naive-MRU tracker presence mismatch")
-		return d.Err()
-	}
-	if hasNaive {
-		nn := int(d.U32())
-		if d.Err() != nil {
-			return d.Err()
-		}
-		for i := range m.naive {
-			m.naive[i] = 0
-		}
-		m.naiveDirty = m.naiveDirty[:0]
-		for i := 0; i < nn; i++ {
-			p := d.U64()
-			c := d.U32()
-			if d.Err() != nil {
-				return d.Err()
+	if s.Present(m.naive != nil, "naive-MRU tracker") {
+		// Only this epoch's touched pages can be non-zero, so the restored
+		// dirty list is the non-zero pages, in ascending order.
+		snap.Sparse(s, "naive-MRU page", m.naive, 0, snap.Int64[int], (*snap.Stream).U32)
+		if s.Reading() {
+			m.naiveDirty = m.naiveDirty[:0]
+			for p, c := range m.naive {
+				if c != 0 {
+					m.naiveDirty = append(m.naiveDirty, uint64(p))
+				}
 			}
-			if p >= uint64(len(m.naive)) {
-				d.Invalid("naive-MRU page %d out of range", p)
-				return d.Err()
-			}
-			if m.naive[p] == 0 && c != 0 {
-				m.naiveDirty = append(m.naiveDirty, p)
-			}
-			m.naive[p] = c
 		}
 	}
-	ns := int(d.U32())
-	if d.Err() != nil {
-		return d.Err()
-	}
-	for i := range m.lastSub {
-		m.lastSub[i] = -1
-	}
-	for i := 0; i < ns; i++ {
-		p := d.U64()
-		s := d.U32()
-		if d.Err() != nil {
-			return d.Err()
-		}
-		if p >= uint64(len(m.lastSub)) {
-			d.Invalid("lastSub page %d out of range", p)
-			return d.Err()
-		}
-		m.lastSub[p] = int32(s)
-	}
-	m.sinceTick = d.U64()
-	m.degraded = d.Bool()
+	snap.Sparse(s, "lastSub page", m.lastSub, -1, snap.Int64[int], snap.Uint32[int32])
+	s.U64(&m.sinceTick)
+	s.Bool(&m.degraded)
 
-	hasPlan := d.Bool()
-	if d.Err() != nil {
-		return d.Err()
-	}
-	m.plan, m.snap, m.stepIdx, m.rollback = nil, nil, 0, false
-	if hasPlan {
-		mru := d.U64()
-		victim := int(d.I64())
-		stepIdx := int(d.U32())
-		nsteps := int(d.U32())
-		rollback := d.Bool()
-		ts := restoreTableSnapshot(d, m.table.Slots())
-		if d.Err() != nil {
-			return d.Err()
-		}
-		var (
-			plan *Plan
-			err  error
-		)
-		if m.opt.Design == DesignN {
-			plan, err = BuildPlanN(m.table.rewoundTo(ts), mru, victim)
-		} else {
-			plan, err = BuildPlanN1(m.table.rewoundTo(ts), mru, victim)
-		}
-		if err != nil {
-			d.Invalid("cannot rebuild swap plan for page %d, victim %d: %v", mru, victim, err)
-			return d.Err()
-		}
-		if len(plan.Steps) != nsteps {
-			d.Invalid("rebuilt plan has %d steps, snapshot recorded %d", len(plan.Steps), nsteps)
-			return d.Err()
-		}
-		if stepIdx < 0 || stepIdx >= nsteps {
-			d.Invalid("swap step index %d out of range (%d steps)", stepIdx, nsteps)
-			return d.Err()
-		}
-		m.plan, m.snap, m.stepIdx, m.rollback = plan, ts, stepIdx, rollback
-		m.scratch = ts // recycle the restored snapshot's buffers for later swaps
-	}
+	m.snapSwap(s)
 	// The pinned empty row is derived state: the last repin ran before the
 	// in-flight swap started, so it pinned the swap-start empty row; with
 	// no swap in flight it pinned the table's current one.
-	m.pinnedEmpty = m.table.EmptyRow()
-	if m.snap != nil {
-		m.pinnedEmpty = m.snap.emptyRow
+	if s.Reading() {
+		m.pinnedEmpty = m.table.EmptyRow()
+		if m.snap != nil {
+			m.pinnedEmpty = m.snap.emptyRow
+		}
 	}
 
-	m.fill.active = d.Bool()
-	m.fill.phys, m.fill.dstSlot, m.fill.old, m.fill.done = 0, 0, 0, nil
-	if d.Err() != nil {
-		return d.Err()
+	s.Bool(&m.fill.active)
+	if s.Reading() {
+		m.fill.phys, m.fill.dstSlot, m.fill.old, m.fill.done = 0, 0, 0, nil
 	}
 	if m.fill.active {
-		m.fill.phys = d.U64()
-		m.fill.dstSlot = d.U64()
-		m.fill.old = d.U64()
-		nd := int(d.U32())
-		if d.Err() != nil {
-			return d.Err()
+		s.U64(&m.fill.phys)
+		s.U64(&m.fill.dstSlot)
+		s.U64(&m.fill.old)
+		if s.Reading() {
+			m.fill.done = make([]bool, m.SubBlocksPerPage())
 		}
-		if nd != m.SubBlocksPerPage() {
-			d.Invalid("fill bitmap has %d bits, page has %d sub-blocks", nd, m.SubBlocksPerPage())
-			return d.Err()
-		}
-		m.fill.done = make([]bool, nd)
-		for i := range m.fill.done {
-			m.fill.done[i] = d.Bool()
-		}
+		s.Bools(m.fill.done)
 	}
 
-	m.stats.Epochs = d.U64()
-	m.stats.SwapsStarted = d.U64()
-	m.stats.SwapsCompleted = d.U64()
-	m.stats.TriggersBlocked = d.U64()
-	m.stats.TriggersCold = d.U64()
-	m.stats.PagesCopied = d.U64()
-	m.stats.BytesCopied = d.U64()
-	m.stats.LiveEarlyHits = d.U64()
-	m.stats.SwapsRolledBack = d.U64()
-	m.stats.SlotsRetired = d.U64()
-	return d.Err()
+	for _, c := range []*uint64{
+		&m.stats.Epochs, &m.stats.SwapsStarted, &m.stats.SwapsCompleted,
+		&m.stats.TriggersBlocked, &m.stats.TriggersCold, &m.stats.PagesCopied,
+		&m.stats.BytesCopied, &m.stats.LiveEarlyHits, &m.stats.SwapsRolledBack,
+		&m.stats.SlotsRetired,
+	} {
+		s.U64(c)
+	}
+}
+
+// snapSwap carries the in-flight swap. A restored swap's plan is rebuilt by
+// running the design's plan builder against the table rewound to the
+// serialized swap-start snapshot, which reproduces the original steps
+// exactly (the builders are deterministic functions of that state).
+func (m *Migrator) snapSwap(s *snap.Stream) {
+	inFlight := m.plan != nil
+	s.Bool(&inFlight)
+	if s.Reading() {
+		m.plan, m.snap, m.stepIdx, m.rollback = nil, nil, 0, false
+	}
+	if !inFlight {
+		return
+	}
+	var (
+		mru                     uint64
+		victim, stepIdx, nsteps int
+		rollback                bool
+		ts                      = new(TableSnapshot)
+	)
+	if !s.Reading() {
+		mru, victim, stepIdx, nsteps = m.plan.MRU, m.plan.Victim, m.stepIdx, len(m.plan.Steps)
+		rollback, ts = m.rollback, m.snap
+	}
+	s.U64(&mru)
+	snap.Int64(s, &victim)
+	snap.Uint32(s, &stepIdx)
+	snap.Uint32(s, &nsteps)
+	s.Bool(&rollback)
+	ts.snap(s, m.table)
+	if !s.Reading() || s.Err() != nil {
+		return
+	}
+	build := BuildPlanN1
+	if m.opt.Design == DesignN {
+		build = BuildPlanN
+	}
+	plan, err := build(m.table.rewoundTo(ts), mru, victim)
+	switch {
+	case err != nil:
+		s.Invalid("cannot rebuild swap plan for page %d, victim %d: %v", mru, victim, err)
+	case len(plan.Steps) != nsteps:
+		s.Invalid("rebuilt plan has %d steps, snapshot recorded %d", len(plan.Steps), nsteps)
+	case stepIdx < 0 || stepIdx >= nsteps:
+		s.Invalid("swap step index %d out of range (%d steps)", stepIdx, nsteps)
+	default:
+		m.plan, m.snap, m.stepIdx, m.rollback = plan, ts, stepIdx, rollback
+		m.scratch = ts // recycle the restored snapshot's buffers for later swaps
+	}
 }

@@ -2,63 +2,23 @@ package dram
 
 import "heteromem/internal/snap"
 
-// SnapshotTo writes the device's dynamic state: every bank's open row,
-// ready time, and last-op flag, each channel's bus-free time, and the
-// cumulative statistics. Geometry and timing are construction inputs, and
-// the fault hook is re-installed by the controller that owns the device.
-func (d *Device) SnapshotTo(e *snap.Encoder) {
-	e.U32(uint32(len(d.banks)))
+// Snap carries the device's dynamic state: every bank's open row, ready
+// time, and last-op flag, each channel's bus-free time, and the cumulative
+// statistics. Geometry and timing are construction inputs, and the fault
+// hook is re-installed by the controller that owns the device.
+func (d *Device) Snap(s *snap.Stream) {
+	s.Shape(len(d.banks), "device channels")
 	for c := range d.banks {
-		e.U32(uint32(len(d.banks[c])))
+		s.Shape(len(d.banks[c]), "channel banks")
 		for b := range d.banks[c] {
 			bk := &d.banks[c][b]
-			e.I64(bk.openRow)
-			e.I64(bk.readyAt)
-			e.Bool(bk.lastWrite)
+			snap.Int64(s, &bk.openRow)
+			snap.Int64(s, &bk.readyAt)
+			s.Bool(&bk.lastWrite)
 		}
-		e.I64(d.busFree[c])
+		snap.Int64(s, &d.busFree[c])
 	}
-	e.U64(d.rowHits)
-	e.U64(d.rowMisses)
-	e.U64(d.rowConf)
-	e.U64(d.bursts)
-	e.U64(d.refreshStalls)
-	e.U64(d.faultedBursts)
-}
-
-// RestoreFrom reads the state written by SnapshotTo into a device built
-// with the same geometry.
-func (d *Device) RestoreFrom(dec *snap.Decoder) error {
-	nc := int(dec.U32())
-	if dec.Err() != nil {
-		return dec.Err()
+	for _, c := range []*uint64{&d.rowHits, &d.rowMisses, &d.rowConf, &d.bursts, &d.refreshStalls, &d.faultedBursts} {
+		s.U64(c)
 	}
-	if nc != len(d.banks) {
-		dec.Invalid("device has %d channels, snapshot has %d", len(d.banks), nc)
-		return dec.Err()
-	}
-	for c := range d.banks {
-		nb := int(dec.U32())
-		if dec.Err() != nil {
-			return dec.Err()
-		}
-		if nb != len(d.banks[c]) {
-			dec.Invalid("channel %d has %d banks, snapshot has %d", c, len(d.banks[c]), nb)
-			return dec.Err()
-		}
-		for b := range d.banks[c] {
-			bk := &d.banks[c][b]
-			bk.openRow = dec.I64()
-			bk.readyAt = dec.I64()
-			bk.lastWrite = dec.Bool()
-		}
-		d.busFree[c] = dec.I64()
-	}
-	d.rowHits = dec.U64()
-	d.rowMisses = dec.U64()
-	d.rowConf = dec.U64()
-	d.bursts = dec.U64()
-	d.refreshStalls = dec.U64()
-	d.faultedBursts = dec.U64()
-	return dec.Err()
 }

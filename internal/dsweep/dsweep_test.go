@@ -14,6 +14,7 @@ import (
 
 	"heteromem/internal/experiments"
 	"heteromem/internal/sim"
+	"heteromem/internal/snap"
 	"heteromem/internal/trace"
 	"heteromem/internal/workload"
 )
@@ -437,38 +438,106 @@ func TestLeaseExpiryReassignsSilentWorker(t *testing.T) {
 	assertSweepMatchesDirect(t, manifestPath, []CellSpec{cell})
 }
 
+// corruptResume returns a real checkpoint of cell, taken where its worker
+// would take one, whose controller payload records a device channel count
+// the configuration does not have: the checksums and the config digest
+// hold, so only restoring its state finds the damage.
+func corruptResume(t *testing.T, cell CellSpec) (cp []byte, records uint64) {
+	t.Helper()
+	cfg, err := cell.Config()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.CheckpointEvery = cell.Records / 3
+	cfg.CheckpointSink = func(data []byte, n uint64) error {
+		if cp == nil {
+			cp, records = append([]byte(nil), data...), n
+		}
+		return nil
+	}
+	gen, err := workload.NewMemory(cell.Workload, cell.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sim.Run(trace.NewLimit(gen, cfg.MaxRecords), cfg); err != nil {
+		t.Fatal(err)
+	}
+	d, err := snap.NewDecoder(cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := snap.NewEncoder()
+	for _, name := range d.Sections() {
+		in, err := d.Section(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := e.Section(name)
+		for i := 0; ; i++ {
+			var b uint8
+			if in.U8(&b); in.Err() != nil {
+				break
+			}
+			if name == "ctrl" && i == 32 { // past four clocks: the on-package device's channel count
+				b = 99
+			}
+			out.U8(&b)
+		}
+	}
+	if cp, err = e.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	return cp, records
+}
+
 func TestBadResumeCheckpointRecovers(t *testing.T) {
 	cell := CellSpec{Workload: "MG", Seed: 4, Design: "live", Interval: 1000, Records: 30_000}
-	manifestPath := filepath.Join(t.TempDir(), "sweep.jsonl")
-	coord, addr, wait := startCoordinator(t, context.Background(), CoordinatorConfig{
-		Cells:    []CellSpec{cell},
-		Manifest: openManifest(t, manifestPath),
-	})
+	bad, records := corruptResume(t, cell)
+	for _, poison := range []struct {
+		name       string
+		checkpoint []byte
+		records    uint64
+	}{
+		// Garbage bytes, as if a dying worker had streamed a corrupt
+		// checkpoint: InspectCheckpoint rejects it before the run.
+		{"garbage", []byte("not a checkpoint"), 5},
+		// A valid container under the right digest whose payload the
+		// component readers reject: the run itself fails to resume.
+		{"invalid-state", bad, records},
+	} {
+		t.Run(poison.name, func(t *testing.T) {
+			manifestPath := filepath.Join(t.TempDir(), "sweep.jsonl")
+			coord, addr, wait := startCoordinator(t, context.Background(), CoordinatorConfig{
+				Cells:    []CellSpec{cell},
+				Manifest: openManifest(t, manifestPath),
+			})
 
-	// Poison the cell's takeover state with garbage bytes, as if a dying
-	// worker had streamed a corrupt checkpoint, then drop the connection.
-	stub := dialStub(t, addr, "poisoner")
-	lease := stub.exchange(envelope{Type: msgAcquire})
-	if lease.Type != msgLease {
-		t.Fatalf("acquire reply %q", lease.Type)
-	}
-	if ok := stub.exchange(envelope{Type: msgHeartbeat, LeaseID: lease.LeaseID, Records: 5, Checkpoint: []byte("not a checkpoint")}); ok.Type != msgOK {
-		t.Fatalf("heartbeat reply %q", ok.Type)
-	}
-	stub.conn.Close()
+			// Poison the cell's takeover state, then drop the connection.
+			stub := dialStub(t, addr, "poisoner")
+			lease := stub.exchange(envelope{Type: msgAcquire})
+			if lease.Type != msgLease {
+				t.Fatalf("acquire reply %q", lease.Type)
+			}
+			if ok := stub.exchange(envelope{Type: msgHeartbeat, LeaseID: lease.LeaseID, Records: poison.records, Checkpoint: poison.checkpoint}); ok.Type != msgOK {
+				t.Fatalf("heartbeat reply %q", ok.Type)
+			}
+			stub.conn.Close()
 
-	// The real worker must detect the unusable resume point, report it, and
-	// complete the cell fresh on the retry — not fail permanently.
-	if err := RunWorker(context.Background(), addr, WorkerConfig{Name: "healer"}); err != nil {
-		t.Fatalf("worker: %v", err)
+			// The real worker must detect the unusable resume point, report
+			// it, and complete the cell fresh on the retry — not fail
+			// permanently.
+			if err := RunWorker(context.Background(), addr, WorkerConfig{Name: "healer"}); err != nil {
+				t.Fatalf("worker: %v", err)
+			}
+			if err := wait(); err != nil {
+				t.Fatalf("coordinator: %v", err)
+			}
+			if s := coord.Stats(); s.Failures < 1 || s.BadResumes < 1 {
+				t.Errorf("stats failures = %d, bad resumes = %d, want >= 1 each (the bad-resume report)", s.Failures, s.BadResumes)
+			}
+			assertSweepMatchesDirect(t, manifestPath, []CellSpec{cell})
+		})
 	}
-	if err := wait(); err != nil {
-		t.Fatalf("coordinator: %v", err)
-	}
-	if s := coord.Stats(); s.Failures < 1 {
-		t.Errorf("stats failures = %d, want >= 1 (the bad-resume report)", s.Failures)
-	}
-	assertSweepMatchesDirect(t, manifestPath, []CellSpec{cell})
 }
 
 func TestCoordinatorRestartReleasesOnlyIncomplete(t *testing.T) {

@@ -12,6 +12,7 @@ import (
 	"heteromem/internal/backoff"
 	"heteromem/internal/flog"
 	"heteromem/internal/sim"
+	"heteromem/internal/snap"
 	"heteromem/internal/trace"
 	"heteromem/internal/workload"
 )
@@ -302,7 +303,9 @@ func (w *worker) runCell(ctx context.Context, conn net.Conn, lease *envelope) er
 			_ = w.reportFailure(conn, lease.LeaseID, runErr, false)
 			return err
 		}
-		badResume := errors.Is(runErr, sim.ErrConfigMismatch)
+		// A checkpoint can pass InspectCheckpoint and still hold state the
+		// components reject on restore; retrying it would fail the same way.
+		badResume := errors.Is(runErr, sim.ErrConfigMismatch) || errors.Is(runErr, snap.ErrCorrupt)
 		return w.reportFailure(conn, lease.LeaseID, runErr, badResume)
 	}
 

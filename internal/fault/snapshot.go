@@ -2,56 +2,27 @@ package fault
 
 import "heteromem/internal/snap"
 
-// SnapshotTo writes the injector's mutable state — the PRNG state word,
-// the per-point probe ordinals, and the fault count — into the current
-// snapshot section. The configuration, rates, and parsed schedule are
-// construction inputs and are rebuilt from Config on restore.
-func (i *Injector) SnapshotTo(e *snap.Encoder) {
-	e.U64(i.prng.State())
-	for p := Point(0); p < numPoints; p++ {
-		e.U64(i.probes[p])
+// Snap carries the injector's mutable state — the PRNG state word, the
+// per-point probe ordinals, and the fault count. The configuration, rates,
+// and parsed schedule are construction inputs and are rebuilt from Config
+// on restore.
+func (i *Injector) Snap(s *snap.Stream) {
+	state := i.prng.State()
+	s.U64(&state)
+	i.prng.SetState(state)
+	for p := range i.probes {
+		s.U64(&i.probes[p])
 	}
-	e.U64(i.faults)
+	s.U64(&i.faults)
 }
 
-// RestoreFrom reads the state written by SnapshotTo into an injector
-// freshly built from the same Config.
-func (i *Injector) RestoreFrom(d *snap.Decoder) error {
-	i.prng.SetState(d.U64())
-	for p := Point(0); p < numPoints; p++ {
-		i.probes[p] = d.U64()
+// Snap carries the fault ledger.
+func (r *Report) Snap(s *snap.Stream) {
+	for _, c := range []*uint64{
+		&r.Injected, &r.DeviceFaults, &r.CopyFaults, &r.BulkFaults, &r.Retried,
+		&r.RolledBack, &r.Retired, &r.Degraded, &r.SwapsRolledBack, &r.SlotsRetired,
+	} {
+		s.U64(c)
 	}
-	i.faults = d.U64()
-	return d.Err()
-}
-
-// SnapshotTo writes the fault ledger.
-func (r *Report) SnapshotTo(e *snap.Encoder) {
-	e.U64(r.Injected)
-	e.U64(r.DeviceFaults)
-	e.U64(r.CopyFaults)
-	e.U64(r.BulkFaults)
-	e.U64(r.Retried)
-	e.U64(r.RolledBack)
-	e.U64(r.Retired)
-	e.U64(r.Degraded)
-	e.U64(r.SwapsRolledBack)
-	e.U64(r.SlotsRetired)
-	e.Bool(r.DegradedMode)
-}
-
-// RestoreFrom reads the fault ledger written by SnapshotTo.
-func (r *Report) RestoreFrom(d *snap.Decoder) error {
-	r.Injected = d.U64()
-	r.DeviceFaults = d.U64()
-	r.CopyFaults = d.U64()
-	r.BulkFaults = d.U64()
-	r.Retried = d.U64()
-	r.RolledBack = d.U64()
-	r.Retired = d.U64()
-	r.Degraded = d.U64()
-	r.SwapsRolledBack = d.U64()
-	r.SlotsRetired = d.U64()
-	r.DegradedMode = d.Bool()
-	return d.Err()
+	s.Bool(&r.DegradedMode)
 }

@@ -18,484 +18,255 @@ import (
 // scheduler restore materializes. The framing is unchanged from the old
 // side-table layout.
 
-// SnapshotTo writes the controller's dynamic state. A controller with a
-// latched asynchronous error refuses to snapshot: the checkpoint would
-// otherwise silently resurrect a run that already failed.
-func (c *Controller) SnapshotTo(e *snap.Encoder) {
-	if c.firstErr != nil {
-		e.Fail(fmt.Errorf("memctrl: cannot checkpoint a failed controller: %w", c.firstErr))
+// Wire sizes of the variable-length lists, the bounds on their counts.
+const (
+	subCopyBytes = 8 + 8 + 8 + 8 + 1                // Src, Dst, Bytes, SubIndex, Exchange
+	stepBytes    = 4 + 1 + 1 + 4                    // subsLeft, undo, aborted, completed count
+	legBytes     = subCopyBytes + 1 + 1 + 8 + 4 + 8 // sub, isRead, dstOn, earliest, attempts, step
+)
+
+// Snap carries the controller's dynamic state into a checkpoint or
+// restores it into a controller built with the same configuration. A
+// controller with a latched asynchronous error refuses to snapshot: the
+// checkpoint would otherwise silently resurrect a run that already failed.
+func (c *Controller) Snap(s *snap.Stream) {
+	if !s.Reading() && c.firstErr != nil {
+		s.Fail(fmt.Errorf("memctrl: cannot checkpoint a failed controller: %w", c.firstErr))
 		return
 	}
-	e.I64(c.now)
-	e.I64(c.stallUntil)
-	e.I64(c.osPenalty)
-	e.U64(c.reqID)
+	snap.Int64(s, &c.now)
+	snap.Int64(s, &c.stallUntil)
+	snap.Int64(s, &c.osPenalty)
+	s.U64(&c.reqID)
+	for _, part := range []snap.Snapshotter{c.onDev, c.offDev, c.onSch, c.offSch} {
+		part.Snap(s)
+	}
+	if s.Present(c.mig != nil, "migration engine") {
+		c.mig.Snap(s)
+	}
+	for _, part := range []snap.Snapshotter{
+		&c.allLat, &c.onLat, &c.offLat, &c.dramAll, &c.dramOn, &c.dramOff, &c.hist,
+	} {
+		part.Snap(s)
+	}
+	snap.Int64(s, &c.coreLatSum)
+	s.U64(&c.nDone)
+	snap.Int64(s, &c.queueSum)
+	snap.Int64(s, &c.swapBegin)
+	snap.Int64(s, &c.stepBegin)
+	snap.Int64(s, &c.rollBegin)
+	s.U64(&c.swapMRU)
+	s.U64(&c.swapVictim)
 
-	c.onDev.SnapshotTo(e)
-	c.offDev.SnapshotTo(e)
-	c.onSch.SnapshotTo(e)
-	c.offSch.SnapshotTo(e)
+	c.snapAccesses(s)
+	c.snapLegs(s)
+	n := s.Len(len(c.undoQueue), subCopyBytes)
+	if s.Reading() {
+		c.undoQueue = nil
+		if n > 0 {
+			c.undoQueue = make([]core.SubCopy, n)
+		}
+	}
+	for i := range c.undoQueue {
+		c.undoQueue[i].Snap(s)
+	}
+	snap.Uint32(s, &c.stepAttempts)
 
-	e.Bool(c.mig != nil)
-	if c.mig != nil {
-		c.mig.SnapshotTo(e)
+	if s.Present(c.inj != nil, "fault injector") {
+		c.snapFaults(s)
 	}
-
-	c.allLat.SnapshotTo(e)
-	c.onLat.SnapshotTo(e)
-	c.offLat.SnapshotTo(e)
-	c.dramAll.SnapshotTo(e)
-	c.dramOn.SnapshotTo(e)
-	c.dramOff.SnapshotTo(e)
-	c.hist.SnapshotTo(e)
-	e.I64(c.coreLatSum)
-	e.U64(c.nDone)
-	e.I64(c.queueSum)
-	e.I64(c.swapBegin)
-	e.I64(c.stepBegin)
-	e.I64(c.rollBegin)
-	e.U64(c.swapMRU)
-	e.U64(c.swapVictim)
-
-	// Program accesses waiting in the schedulers, positionally. The access
-	// metadata lives on the requests themselves, so the walk serializes it
-	// in place; the framing matches the old side-table layout exactly.
-	snapMeta := func(ch int, r *sched.Request) {
-		e.U64(r.Phys)
-		e.U64(r.Machine)
-		e.I64(r.Issue)
-		e.Bool(r.OnPkg)
-		e.Bool(r.Write)
-		if c.cache != nil {
-			// Cache-scheme leg state; the extra fields are gated on the
-			// scheme so default-scheme checkpoints stay byte-identical.
-			e.U8(r.Stage)
-			e.U64(r.Aux)
-		}
+	if s.Present(c.cfg.Power != nil, "power meter") {
+		c.cfg.Power.Snap(s)
 	}
-	e.U32(uint32(c.onSch.QueueLen() + c.offSch.QueueLen()))
-	c.onSch.ForEachPending(snapMeta)
-	c.offSch.ForEachPending(snapMeta)
-
-	// Distinct step states shared by the in-flight copy legs. The current
-	// step comes first; stale (aborted) steps referenced only by still-queued
-	// legs follow in walk order.
-	var steps []*stepState
-	stepIdx := make(map[*stepState]int)
-	stepRef := func(st *stepState) int {
-		if st == nil {
-			return -1
-		}
-		if i, ok := stepIdx[st]; ok {
-			return i
-		}
-		stepIdx[st] = len(steps)
-		steps = append(steps, st)
-		return stepIdx[st]
-	}
-	stepRef(c.step)
-	var legs []*legMeta
-	var jobKinds []uint8 // per queued bulk job, walk order; 0 = migration leg
-	collectLeg := func(ch int, j *sched.BulkJob) {
-		if sj, ok := j.Meta.(*schemeJob); ok {
-			if c.cache == nil {
-				e.Fail(fmt.Errorf("memctrl: scheme job %d queued without a cache scheme", j.Tag))
-				return
-			}
-			jobKinds = append(jobKinds, sj.kind)
-			return
-		}
-		meta, _ := j.Meta.(*legMeta)
-		if meta == nil {
-			e.Fail(fmt.Errorf("memctrl: bulk job %d queued without leg metadata", j.Tag))
-			return
-		}
-		jobKinds = append(jobKinds, 0)
-		stepRef(meta.step)
-		legs = append(legs, meta)
-	}
-	c.onSch.ForEachBulk(collectLeg)
-	c.offSch.ForEachBulk(collectLeg)
-	e.U32(uint32(len(steps)))
-	for _, st := range steps {
-		e.U32(uint32(st.subsLeft))
-		e.Bool(st.undo)
-		e.Bool(st.aborted)
-		e.U32(uint32(len(st.completed)))
-		for _, s := range st.completed {
-			e.I64(int64(s))
-		}
-	}
-	e.I64(int64(stepRef(c.step)))
-	e.U32(uint32(len(legs)))
-	for _, meta := range legs {
-		snapshotSubCopy(e, meta.sub)
-		e.Bool(meta.isRead)
-		e.Bool(meta.dstOn)
-		e.I64(meta.earliest)
-		e.U32(uint32(meta.attempts))
-		e.I64(int64(stepIdx[meta.step]))
-	}
-	if c.cache != nil {
-		// Which queued bulk job carries which metadata: 0 picks the next
-		// migration leg above in order, non-zero a scheme-job sentinel.
-		e.U32(uint32(len(jobKinds)))
-		for _, k := range jobKinds {
-			e.U8(k)
-		}
-	}
-
-	e.U32(uint32(len(c.undoQueue)))
-	for _, sc := range c.undoQueue {
-		snapshotSubCopy(e, sc)
-	}
-	e.U32(uint32(c.stepAttempts))
-
-	e.Bool(c.inj != nil)
-	if c.inj != nil {
-		c.inj.SnapshotTo(e)
-		c.faultRep.SnapshotTo(e)
-		// The dense per-frame arrays serialize as sparse sorted entry lists:
-		// ascending index order is exactly the sorted-key order the map-backed
-		// layout produced, so the framing is unchanged.
-		nf := 0
-		for _, v := range c.frameFaults {
-			if v != 0 {
-				nf++
-			}
-		}
-		e.U32(uint32(nf))
-		for f, v := range c.frameFaults {
-			if v != 0 {
-				e.U64(uint64(f))
-				e.U32(uint32(v))
-			}
-		}
-		e.U32(uint32(len(c.retireQueue)))
-		for _, s := range c.retireQueue {
-			e.I64(int64(s))
-		}
-		nq := 0
-		for _, q := range c.retireQueued {
-			if q {
-				nq++
-			}
-		}
-		e.U32(uint32(nq))
-		for s, q := range c.retireQueued {
-			if q {
-				e.I64(int64(s))
-			}
-		}
-		e.Bool(c.degradePending)
-		e.Bool(c.degradedMode)
-	}
-
-	e.Bool(c.cfg.Power != nil)
-	if c.cfg.Power != nil {
-		c.cfg.Power.SnapshotTo(e)
-	}
-
 	if c.cache != nil {
 		// Scheme state (set array, tag buffer, predictor, stats). Under
 		// memcache this is the cache part only: the migrator already rode
 		// the mig slot above.
-		c.cache.SnapshotTo(e)
+		c.cache.Snap(s)
 	}
 }
 
-// RestoreFrom reads the state written by SnapshotTo into a controller built
-// with the same configuration.
-func (c *Controller) RestoreFrom(d *snap.Decoder) error {
-	c.now = d.I64()
-	c.stallUntil = d.I64()
-	c.osPenalty = d.I64()
-	c.reqID = d.U64()
-
-	if err := c.onDev.RestoreFrom(d); err != nil {
-		return err
-	}
-	if err := c.offDev.RestoreFrom(d); err != nil {
-		return err
-	}
-	if err := c.onSch.RestoreFrom(d); err != nil {
-		return err
-	}
-	if err := c.offSch.RestoreFrom(d); err != nil {
-		return err
-	}
-
-	hasMig := d.Bool()
-	if d.Err() != nil {
-		return d.Err()
-	}
-	if hasMig != (c.mig != nil) {
-		d.Invalid("migration engine presence mismatch")
-		return d.Err()
-	}
-	if c.mig != nil {
-		if err := c.mig.RestoreFrom(d); err != nil {
-			return err
-		}
-	}
-
-	for _, ls := range []interface{ RestoreFrom(*snap.Decoder) error }{
-		&c.allLat, &c.onLat, &c.offLat, &c.dramAll, &c.dramOn, &c.dramOff, &c.hist,
-	} {
-		if err := ls.RestoreFrom(d); err != nil {
-			return err
-		}
-	}
-	c.coreLatSum = d.I64()
-	c.nDone = d.U64()
-	c.queueSum = d.I64()
-	c.swapBegin = d.I64()
-	c.stepBegin = d.I64()
-	c.rollBegin = d.I64()
-	c.swapMRU = d.U64()
-	c.swapVictim = d.U64()
-
-	nMeta := int(d.U32())
-	if d.Err() != nil {
-		return d.Err()
-	}
-	var reqs []*sched.Request
-	c.onSch.ForEachPending(func(ch int, r *sched.Request) { reqs = append(reqs, r) })
-	c.offSch.ForEachPending(func(ch int, r *sched.Request) { reqs = append(reqs, r) })
-	if nMeta != len(reqs) {
-		d.Invalid("snapshot has %d access metadata entries for %d queued requests", nMeta, len(reqs))
-		return d.Err()
-	}
-	for _, r := range reqs {
-		r.Phys = d.U64()
-		r.Machine = d.U64()
-		r.Issue = d.I64()
-		r.OnPkg = d.Bool()
-		w := d.Bool()
-		if d.Err() != nil {
-			return d.Err()
-		}
+// snapAccesses carries the metadata of the program accesses waiting in the
+// schedulers, positionally in walk order.
+func (c *Controller) snapAccesses(s *snap.Stream) {
+	s.Shape(c.onSch.QueueLen()+c.offSch.QueueLen(), "queued access metadata")
+	each := func(_ int, r *sched.Request) {
+		s.U64(&r.Phys)
+		s.U64(&r.Machine)
+		snap.Int64(s, &r.Issue)
+		s.Bool(&r.OnPkg)
+		w := r.Write
+		s.Bool(&w)
 		if w != r.Write {
-			d.Invalid("request %d write flag disagrees with its metadata", r.ID)
-			return d.Err()
+			s.Invalid("request %d write flag disagrees with its metadata", r.ID)
 		}
 		if c.cache != nil {
-			r.Stage = d.U8()
-			r.Aux = d.U64()
+			// Cache-scheme leg state; the extra fields are gated on the
+			// scheme so default-scheme checkpoints stay byte-identical.
+			s.U8(&r.Stage)
+			s.U64(&r.Aux)
 		}
 	}
+	c.onSch.ForEachPending(each)
+	c.offSch.ForEachPending(each)
+}
 
-	nSteps := int(d.U32())
-	if d.Err() != nil {
-		return d.Err()
-	}
-	steps := make([]*stepState, nSteps)
-	for i := range steps {
-		st := &stepState{
-			subsLeft: int(d.U32()),
-			undo:     d.Bool(),
-			aborted:  d.Bool(),
-		}
-		ncomp := int(d.U32())
-		if d.Err() != nil {
-			return d.Err()
-		}
-		if ncomp > 0 {
-			st.completed = make([]int, ncomp)
-			for k := range st.completed {
-				st.completed[k] = int(d.I64())
-			}
-		}
-		steps[i] = st
-	}
-	stepAt := func(i int) (*stepState, bool) {
-		if i == -1 {
-			return nil, true
-		}
-		if i < 0 || i >= len(steps) {
-			d.Invalid("step reference %d out of range (%d steps)", i, len(steps))
-			return nil, false
-		}
-		return steps[i], true
-	}
-	cur, ok := stepAt(int(d.I64()))
-	if !ok {
-		return d.Err()
-	}
-	c.step = cur
-	nLegs := int(d.U32())
-	if d.Err() != nil {
-		return d.Err()
-	}
+// snapLegs carries the queued bulk jobs' metadata: the distinct step states
+// shared by the in-flight copy legs (the current step first, then stale,
+// aborted steps referenced only by still-queued legs, in walk order), the
+// current step, the legs, and — under a cache scheme, whose jobs interleave
+// with migration legs — one kind per queued job. Restoring reattaches the
+// metadata to the jobs the scheduler restore materialized.
+func (c *Controller) snapLegs(s *snap.Stream) {
 	var jobs []*sched.BulkJob
-	c.onSch.ForEachBulk(func(ch int, j *sched.BulkJob) { jobs = append(jobs, j) })
-	c.offSch.ForEachBulk(func(ch int, j *sched.BulkJob) { jobs = append(jobs, j) })
-	readLeg := func() (*legMeta, bool) {
-		meta := &legMeta{sub: restoreSubCopy(d)}
-		meta.isRead = d.Bool()
-		meta.dstOn = d.Bool()
-		meta.earliest = d.I64()
-		meta.attempts = int(d.U32())
-		st, ok := stepAt(int(d.I64()))
-		if !ok || d.Err() != nil {
-			return nil, false
-		}
-		meta.step = st
-		return meta, true
-	}
-	if c.cache == nil {
-		if nLegs != len(jobs) {
-			d.Invalid("snapshot has %d leg metadata entries for %d queued bulk jobs", nLegs, len(jobs))
-			return d.Err()
-		}
-		for _, j := range jobs {
-			meta, ok := readLeg()
-			if !ok {
-				return d.Err()
+	collect := func(_ int, j *sched.BulkJob) { jobs = append(jobs, j) }
+	c.onSch.ForEachBulk(collect)
+	c.offSch.ForEachBulk(collect)
+	var (
+		steps []*stepState
+		index = make(map[*stepState]int)
+		legs  []*legMeta
+		kinds = make([]uint8, len(jobs)) // per queued job; 0 = migration leg
+	)
+	if !s.Reading() {
+		ref := func(st *stepState) {
+			if _, ok := index[st]; st != nil && !ok {
+				index[st] = len(steps)
+				steps = append(steps, st)
 			}
-			j.Meta = meta
 		}
-	} else {
-		// Scheme jobs interleave with migration legs; the kinds array maps
-		// each queued job (walk order) back to its metadata.
-		metas := make([]*legMeta, nLegs)
-		for i := range metas {
-			meta, ok := readLeg()
-			if !ok {
-				return d.Err()
-			}
-			metas[i] = meta
-		}
-		nKinds := int(d.U32())
-		if d.Err() != nil {
-			return d.Err()
-		}
-		if nKinds != len(jobs) {
-			d.Invalid("snapshot has %d job kinds for %d queued bulk jobs", nKinds, len(jobs))
-			return d.Err()
-		}
-		li := 0
-		for _, j := range jobs {
-			kind := d.U8()
-			if d.Err() != nil {
-				return d.Err()
-			}
-			if kind == 0 {
-				if li >= len(metas) {
-					d.Invalid("snapshot names more migration legs than it carries (%d)", nLegs)
-					return d.Err()
+		ref(c.step)
+		for i, j := range jobs {
+			if sj, ok := j.Meta.(*schemeJob); ok {
+				if c.cache == nil {
+					s.Fail(fmt.Errorf("memctrl: scheme job %d queued without a cache scheme", j.Tag))
+					return
 				}
-				j.Meta = metas[li]
-				li++
+				kinds[i] = sj.kind
 				continue
 			}
-			sj := c.schemeJobByKind(kind)
+			meta, _ := j.Meta.(*legMeta)
+			if meta == nil {
+				s.Fail(fmt.Errorf("memctrl: bulk job %d queued without leg metadata", j.Tag))
+				return
+			}
+			ref(meta.step)
+			legs = append(legs, meta)
+		}
+	}
+
+	n := s.Len(len(steps), stepBytes)
+	if s.Reading() {
+		steps = make([]*stepState, n)
+		for i := range steps {
+			steps[i] = new(stepState)
+		}
+	}
+	for _, st := range steps {
+		snap.Uint32(s, &st.subsLeft)
+		s.Bool(&st.undo)
+		s.Bool(&st.aborted)
+		nc := s.Len(len(st.completed), 8)
+		if s.Reading() && nc > 0 {
+			st.completed = make([]int, nc)
+		}
+		for k := range st.completed {
+			snap.Int64(s, &st.completed[k])
+		}
+	}
+	stepRef := func(st **stepState) {
+		i := -1
+		if *st != nil {
+			i = index[*st]
+		}
+		snap.Int64(s, &i)
+		switch {
+		case !s.Reading() || s.Err() != nil:
+		case i == -1:
+			*st = nil
+		case i < 0 || i >= len(steps):
+			s.Invalid("step reference %d out of range (%d steps)", i, len(steps))
+		default:
+			*st = steps[i]
+		}
+	}
+	stepRef(&c.step)
+
+	n = s.Len(len(legs), legBytes)
+	if s.Reading() {
+		legs = make([]*legMeta, n)
+		for i := range legs {
+			legs[i] = new(legMeta)
+		}
+	}
+	for _, meta := range legs {
+		meta.sub.Snap(s)
+		s.Bool(&meta.isRead)
+		s.Bool(&meta.dstOn)
+		snap.Int64(s, &meta.earliest)
+		snap.Uint32(s, &meta.attempts)
+		stepRef(&meta.step)
+	}
+	if c.cache != nil {
+		s.Shape(len(kinds), "queued bulk job kinds")
+		for i := range kinds {
+			s.U8(&kinds[i])
+		}
+	}
+	if s.Reading() && s.Err() == nil {
+		c.attachJobs(s, jobs, kinds, legs)
+	}
+}
+
+// attachJobs hangs restored metadata on the queued bulk jobs in walk
+// order: kind 0 takes the next migration leg, any other kind its scheme-job
+// sentinel. Every leg must be taken exactly once.
+func (c *Controller) attachJobs(s *snap.Stream, jobs []*sched.BulkJob, kinds []uint8, legs []*legMeta) {
+	li := 0
+	for i, j := range jobs {
+		if k := kinds[i]; k != 0 {
+			sj := c.schemeJobByKind(k)
 			if sj == nil {
-				d.Invalid("unknown scheme-job kind %d", kind)
-				return d.Err()
+				s.Invalid("unknown scheme-job kind %d", k)
+				return
 			}
 			j.Meta = sj
+			continue
 		}
-		if li != len(metas) {
-			d.Invalid("snapshot carries %d migration legs but names %d", len(metas), li)
-			return d.Err()
+		if li >= len(legs) {
+			s.Invalid("snapshot names more migration legs than it carries (%d)", len(legs))
+			return
 		}
+		j.Meta = legs[li]
+		li++
 	}
+	if li != len(legs) {
+		s.Invalid("snapshot carries %d migration legs but names %d", len(legs), li)
+	}
+}
 
-	nUndo := int(d.U32())
-	if d.Err() != nil {
-		return d.Err()
-	}
-	c.undoQueue = nil
-	for i := 0; i < nUndo; i++ {
-		c.undoQueue = append(c.undoQueue, restoreSubCopy(d))
-	}
-	c.stepAttempts = int(d.U32())
-
-	hasInj := d.Bool()
-	if d.Err() != nil {
-		return d.Err()
-	}
-	if hasInj != (c.inj != nil) {
-		d.Invalid("fault injector presence mismatch")
-		return d.Err()
-	}
-	if c.inj != nil {
-		if err := c.inj.RestoreFrom(d); err != nil {
-			return err
-		}
-		if err := c.faultRep.RestoreFrom(d); err != nil {
-			return err
-		}
-		nf := int(d.U32())
-		if d.Err() != nil {
-			return d.Err()
-		}
-		for i := range c.frameFaults {
-			c.frameFaults[i] = 0
-		}
-		for i := 0; i < nf; i++ {
-			f := d.U64()
-			v := int(d.U32())
-			if d.Err() != nil {
-				return d.Err()
-			}
-			if f >= uint64(len(c.frameFaults)) {
-				d.Invalid("frame-fault entry %d out of range (%d frames)", f, len(c.frameFaults))
-				return d.Err()
-			}
-			c.frameFaults[f] = v
-		}
-		nr := int(d.U32())
-		if d.Err() != nil {
-			return d.Err()
-		}
+// snapFaults carries the fault-response ledger. The dense per-frame and
+// per-slot arrays serialize as sparse sorted entry lists: ascending index
+// order is exactly the sorted-key order the map-backed layout produced.
+func (c *Controller) snapFaults(s *snap.Stream) {
+	c.inj.Snap(s)
+	c.faultRep.Snap(s)
+	snap.Sparse(s, "frame-fault entry", c.frameFaults, 0, snap.Int64[int], snap.Uint32[int])
+	n := s.Len(len(c.retireQueue), 8)
+	if s.Reading() {
 		c.retireQueue = nil
-		for i := 0; i < nr; i++ {
-			c.retireQueue = append(c.retireQueue, int(d.I64()))
-		}
-		nq := int(d.U32())
-		if d.Err() != nil {
-			return d.Err()
-		}
-		for i := range c.retireQueued {
-			c.retireQueued[i] = false
-		}
-		for i := 0; i < nq; i++ {
-			s := d.I64()
-			if d.Err() != nil {
-				return d.Err()
-			}
-			if s < 0 || s >= int64(len(c.retireQueued)) {
-				d.Invalid("retire-queued slot %d out of range (%d slots)", s, len(c.retireQueued))
-				return d.Err()
-			}
-			c.retireQueued[s] = true
-		}
-		c.degradePending = d.Bool()
-		c.degradedMode = d.Bool()
-	}
-
-	hasPower := d.Bool()
-	if d.Err() != nil {
-		return d.Err()
-	}
-	if hasPower != (c.cfg.Power != nil) {
-		d.Invalid("power meter presence mismatch")
-		return d.Err()
-	}
-	if c.cfg.Power != nil {
-		if err := c.cfg.Power.RestoreFrom(d); err != nil {
-			return err
+		if n > 0 {
+			c.retireQueue = make([]int, n)
 		}
 	}
-
-	if c.cache != nil {
-		if err := c.cache.RestoreFrom(d); err != nil {
-			return err
-		}
+	for i := range c.retireQueue {
+		snap.Int64(s, &c.retireQueue[i])
 	}
-	return d.Err()
+	// A queued slot's only value is true: the entry carries its index alone.
+	snap.Sparse(s, "retire-queued slot", c.retireQueued, false, snap.Int64[int],
+		func(_ *snap.Stream, q *bool) { *q = true })
+	s.Bool(&c.degradePending)
+	s.Bool(&c.degradedMode)
 }
 
 // schemeJobByKind resolves a checkpoint kind tag to the controller's
@@ -514,22 +285,4 @@ func (c *Controller) schemeJobByKind(k uint8) *schemeJob {
 		return c.sjWasted
 	}
 	return nil
-}
-
-func snapshotSubCopy(e *snap.Encoder, sc core.SubCopy) {
-	e.U64(sc.Src)
-	e.U64(sc.Dst)
-	e.U64(sc.Bytes)
-	e.I64(int64(sc.SubIndex))
-	e.Bool(sc.Exchange)
-}
-
-func restoreSubCopy(d *snap.Decoder) core.SubCopy {
-	var sc core.SubCopy
-	sc.Src = d.U64()
-	sc.Dst = d.U64()
-	sc.Bytes = d.U64()
-	sc.SubIndex = int(d.I64())
-	sc.Exchange = d.Bool()
-	return sc
 }

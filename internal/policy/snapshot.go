@@ -2,153 +2,83 @@ package policy
 
 import "heteromem/internal/snap"
 
-// Snapshot helpers for the policy trackers. Shapes (slot counts, level
+// Snapshot methods for the policy trackers. Shapes (slot counts, level
 // counts, capacities) are construction inputs; restore targets must be
 // built with the same shape, and the snapshot's dimensions are validated
 // against it.
 
-func snapshotBools(e *snap.Encoder, bits []bool) {
-	e.U32(uint32(len(bits)))
-	for _, b := range bits {
-		e.Bool(b)
-	}
-}
-
-func restoreBools(d *snap.Decoder, bits []bool, what string) {
-	n := int(d.U32())
-	if d.Err() != nil {
-		return
-	}
-	if n != len(bits) {
-		d.Invalid("%s has %d slots, snapshot has %d", what, len(bits), n)
-		return
-	}
-	for i := range bits {
-		bits[i] = d.Bool()
-	}
-}
-
-// snapshotBits writes a packed bitmap with the same framing as
-// snapshotBools, so the on-disk format is unchanged by the bitmap layout.
-func snapshotBits(e *snap.Encoder, w []uint64, n int) {
-	e.U32(uint32(n))
+// snapBits carries a packed bitmap of n bits with the framing of
+// snap.Stream.Bools, so the on-disk format is unchanged by the bitmap
+// layout.
+func snapBits(s *snap.Stream, w []uint64, n int) {
+	s.Shape(n, "clock bitmap")
 	for i := 0; i < n; i++ {
-		e.Bool(bitGet(w, i))
+		b := bitGet(w, i)
+		s.Bool(&b)
+		bitSet(w, i, b)
 	}
 }
 
-// restoreBits reads the framing snapshotBits writes into a packed bitmap.
-func restoreBits(d *snap.Decoder, w []uint64, n int, what string) {
-	got := int(d.U32())
-	if d.Err() != nil {
-		return
-	}
-	if got != n {
-		d.Invalid("%s has %d slots, snapshot has %d", what, n, got)
-		return
-	}
-	for i := 0; i < n; i++ {
-		bitSet(w, i, d.Bool())
+// Snap carries the reference bits, pin bits, and clock hand.
+func (c *ClockPLRU) Snap(s *snap.Stream) {
+	snapBits(s, c.ref, c.n)
+	snapBits(s, c.pinned, c.n)
+	snap.Uint32(s, &c.hand)
+	if c.hand >= c.n {
+		s.Invalid("clock hand %d out of range", c.hand)
 	}
 }
 
-// SnapshotTo writes the reference bits, pin bits, and clock hand.
-func (c *ClockPLRU) SnapshotTo(e *snap.Encoder) {
-	snapshotBits(e, c.ref, c.n)
-	snapshotBits(e, c.pinned, c.n)
-	e.U32(uint32(c.hand))
+// Snap carries the PRNG state and pin bits.
+func (r *RandomVictim) Snap(s *snap.Stream) {
+	state := r.prng.State()
+	s.U64(&state)
+	r.prng.SetState(state)
+	s.Bools(r.pinned)
 }
 
-// RestoreFrom reads the state written by SnapshotTo.
-func (c *ClockPLRU) RestoreFrom(d *snap.Decoder) error {
-	restoreBits(d, c.ref, c.n, "clock")
-	restoreBits(d, c.pinned, c.n, "clock")
-	c.hand = int(d.U32())
-	if d.Err() == nil && c.hand >= c.n {
-		d.Invalid("clock hand %d out of range", c.hand)
+// Snap carries the rotation hand and pin bits.
+func (f *FIFOVictim) Snap(s *snap.Stream) {
+	snap.Uint32(s, &f.hand)
+	s.Bools(f.pinned)
+	if f.hand >= len(f.pinned) {
+		s.Invalid("fifo hand %d out of range", f.hand)
 	}
-	return d.Err()
 }
 
-// SnapshotTo writes the PRNG state and pin bits.
-func (r *RandomVictim) SnapshotTo(e *snap.Encoder) {
-	e.U64(r.prng.State())
-	snapshotBools(e, r.pinned)
-}
+// mqEntryBytes is the wire size of one multi-queue entry (page, count).
+const mqEntryBytes = 8 + 8
 
-// RestoreFrom reads the state written by SnapshotTo.
-func (r *RandomVictim) RestoreFrom(d *snap.Decoder) error {
-	r.prng.SetState(d.U64())
-	restoreBools(d, r.pinned, "random victim")
-	return d.Err()
-}
-
-// SnapshotTo writes the rotation hand and pin bits.
-func (f *FIFOVictim) SnapshotTo(e *snap.Encoder) {
-	e.U32(uint32(f.hand))
-	snapshotBools(e, f.pinned)
-}
-
-// RestoreFrom reads the state written by SnapshotTo.
-func (f *FIFOVictim) RestoreFrom(d *snap.Decoder) error {
-	f.hand = int(d.U32())
-	restoreBools(d, f.pinned, "fifo victim")
-	if d.Err() == nil && f.hand >= len(f.pinned) {
-		d.Invalid("fifo hand %d out of range", f.hand)
+// Snap carries every tracked entry, level by level in LRU-to-MRU order, so
+// the lists and the index rebuild exactly.
+func (m *MultiQueue) Snap(s *snap.Stream) {
+	s.Shape(len(m.head), "multi-queue levels")
+	if s.Reading() {
+		m.Reset()
 	}
-	return d.Err()
-}
-
-// SnapshotTo writes every tracked entry, level by level in LRU-to-MRU
-// order, so the lists and the index rebuild exactly.
-func (m *MultiQueue) SnapshotTo(e *snap.Encoder) {
-	e.U32(uint32(len(m.head)))
 	for l := range m.head {
-		e.U32(uint32(m.sizes[l]))
+		n := s.Len(int(m.sizes[l]), mqEntryBytes)
+		if s.Reading() {
+			if n > m.perLevel {
+				s.Invalid("multi-queue level %d holds %d entries, capacity %d", l, n, m.perLevel)
+				return
+			}
+			for range n {
+				m.pushBack(l, m.alloc())
+			}
+		}
 		for i := m.head[l]; i != mqNil; i = m.nodes[i].next {
-			e.U64(m.nodes[i].page)
-			e.U64(m.nodes[i].count)
-		}
-	}
-}
-
-// RestoreFrom rebuilds the lists and index from the state written by
-// SnapshotTo into a tracker constructed with the same shape.
-func (m *MultiQueue) RestoreFrom(d *snap.Decoder) error {
-	nl := int(d.U32())
-	if d.Err() != nil {
-		return d.Err()
-	}
-	if nl != len(m.head) {
-		d.Invalid("multi-queue has %d levels, snapshot has %d", len(m.head), nl)
-		return d.Err()
-	}
-	m.Reset()
-	for l := range m.head {
-		n := int(d.U32())
-		if d.Err() != nil {
-			return d.Err()
-		}
-		if n > m.perLevel {
-			d.Invalid("multi-queue level %d holds %d entries, capacity %d", l, n, m.perLevel)
-			return d.Err()
-		}
-		for i := 0; i < n; i++ {
-			page := d.U64()
-			count := d.U64()
-			if d.Err() != nil {
-				return d.Err()
+			nd := &m.nodes[i]
+			s.U64(&nd.page)
+			s.U64(&nd.count)
+			if !s.Reading() || s.Err() != nil {
+				continue
 			}
-			if _, dup := m.index[page]; dup {
-				d.Invalid("multi-queue page %d appears twice", page)
-				return d.Err()
+			if _, dup := m.index[nd.page]; dup {
+				s.Invalid("multi-queue page %d appears twice", nd.page)
+				return
 			}
-			node := m.alloc()
-			m.nodes[node].page = page
-			m.nodes[node].count = count
-			m.index[page] = node
-			m.pushBack(l, node)
+			m.index[nd.page] = i
 		}
 	}
-	return d.Err()
 }

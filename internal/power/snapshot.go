@@ -2,20 +2,11 @@ package power
 
 import "heteromem/internal/snap"
 
-// SnapshotTo writes the four traffic accumulators; the energy constants
-// are construction inputs.
-func (m *Meter) SnapshotTo(e *snap.Encoder) {
-	e.F64(m.accessBitsOn)
-	e.F64(m.accessBitsOff)
-	e.F64(m.copyBitsOn)
-	e.F64(m.copyBitsOff)
-}
-
-// RestoreFrom reads the state written by SnapshotTo.
-func (m *Meter) RestoreFrom(d *snap.Decoder) error {
-	m.accessBitsOn = d.F64()
-	m.accessBitsOff = d.F64()
-	m.copyBitsOn = d.F64()
-	m.copyBitsOff = d.F64()
-	return d.Err()
+// Snap carries the four traffic accumulators; the energy constants are
+// construction inputs.
+func (m *Meter) Snap(s *snap.Stream) {
+	s.F64(&m.accessBitsOn)
+	s.F64(&m.accessBitsOff)
+	s.F64(&m.copyBitsOn)
+	s.F64(&m.copyBitsOff)
 }

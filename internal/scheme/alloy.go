@@ -132,36 +132,13 @@ func (a *Alloy) Lookup(phys uint64, write bool) Result {
 	return res
 }
 
-// SnapshotTo implements snap.Snapshotter.
-func (a *Alloy) SnapshotTo(e *snap.Encoder) {
-	a.arr.SnapshotTo(e)
-	snapshotStats(e, a.stats)
-	e.Bool(a.pred != nil)
-	if a.pred != nil {
-		for _, c := range a.pred.ctr {
-			e.U8(c)
-		}
-	}
-}
-
-// RestoreFrom implements snap.Snapshotter.
-func (a *Alloy) RestoreFrom(d *snap.Decoder) error {
-	if err := a.arr.RestoreFrom(d); err != nil {
-		return err
-	}
-	a.stats = restoreStats(d)
-	hasPred := d.Bool()
-	if d.Err() != nil {
-		return d.Err()
-	}
-	if hasPred != (a.pred != nil) {
-		d.Invalid("alloy predictor presence mismatch")
-		return d.Err()
-	}
-	if a.pred != nil {
+// Snap implements snap.Snapshotter.
+func (a *Alloy) Snap(s *snap.Stream) {
+	a.arr.Snap(s)
+	a.stats.snap(s)
+	if s.Present(a.pred != nil, "alloy predictor") {
 		for i := range a.pred.ctr {
-			a.pred.ctr[i] = d.U8()
+			s.U8(&a.pred.ctr[i])
 		}
 	}
-	return d.Err()
 }

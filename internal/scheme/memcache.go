@@ -55,10 +55,7 @@ func (m *MemCache) Lookup(phys uint64, write bool) Result {
 	return m.part.Lookup(phys, write)
 }
 
-// SnapshotTo implements snap.Snapshotter. The memory part's migrator
-// snapshots through the controller's existing migration slot; this covers
-// the cache part only.
-func (m *MemCache) SnapshotTo(e *snap.Encoder) { m.part.SnapshotTo(e) }
-
-// RestoreFrom implements snap.Snapshotter.
-func (m *MemCache) RestoreFrom(d *snap.Decoder) error { return m.part.RestoreFrom(d) }
+// Snap implements snap.Snapshotter. The memory part's migrator snapshots
+// through the controller's existing migration slot; this covers the cache
+// part only.
+func (m *MemCache) Snap(s *snap.Stream) { m.part.Snap(s) }

@@ -185,9 +185,17 @@ func TestMemCacheSplit(t *testing.T) {
 // fresh.
 func roundTrip(t *testing.T, s, fresh Cache) {
 	t.Helper()
+	if err := restoreInto(t, s, fresh); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// restoreInto snapshots s and restores the blob into fresh, returning the
+// restore error.
+func restoreInto(t *testing.T, s, fresh Cache) error {
+	t.Helper()
 	e := snap.NewEncoder()
-	e.Section("scheme")
-	s.SnapshotTo(e)
+	s.Snap(e.Section("scheme"))
 	blob, err := e.Finish()
 	if err != nil {
 		t.Fatal(err)
@@ -196,12 +204,12 @@ func roundTrip(t *testing.T, s, fresh Cache) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Section("scheme"); err != nil {
+	st, err := d.Section("scheme")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fresh.RestoreFrom(d); err != nil {
-		t.Fatal(err)
-	}
+	fresh.Snap(st)
+	return st.Err()
 }
 
 func TestSnapshotRoundTrip(t *testing.T) {
@@ -237,15 +245,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 
 	// Shape mismatches are refused, not silently misread.
 	small, _ := NewAlloy(Spec{Kind: KindAlloy}, 2048, 0, 64)
-	e := snap.NewEncoder()
-	e.Section("scheme")
-	a.SnapshotTo(e)
-	blob, _ := e.Finish()
-	d, _ := snap.NewDecoder(blob)
-	if err := d.Section("scheme"); err != nil {
-		t.Fatal(err)
-	}
-	if err := small.RestoreFrom(d); err == nil {
+	if err := restoreInto(t, a, small); err == nil {
 		t.Fatal("shape mismatch accepted")
 	}
 }

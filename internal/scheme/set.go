@@ -101,75 +101,26 @@ func (a *SetArray) Insert(set, tag uint64, write bool) (victimTag uint64, victim
 	return victimTag, victimDirty && victimValid, victimValid
 }
 
-// SnapshotTo serializes the array sparsely: cold sets stay all-zero for
-// most of a run, so (index, word) pairs keep checkpoints proportional to
-// the touched footprint, not the configured capacity.
-func (a *SetArray) SnapshotTo(e *snap.Encoder) {
-	n := 0
-	for _, w := range a.slots {
-		if w != 0 {
-			n++
-		}
-	}
-	e.U64(a.sets)
-	e.U32(uint32(a.ways))
-	e.U32(uint32(n))
-	for i, w := range a.slots {
-		if w != 0 {
-			e.U32(uint32(i))
-			e.U64(w)
-		}
-	}
-}
-
-// RestoreFrom reads the state written by SnapshotTo.
-func (a *SetArray) RestoreFrom(d *snap.Decoder) error {
-	sets := d.U64()
-	ways := int(d.U32())
-	n := int(d.U32())
-	if d.Err() != nil {
-		return d.Err()
-	}
+// Snap carries the array sparsely: cold sets stay all-zero for most of a
+// run, so (index, word) pairs keep checkpoints proportional to the touched
+// footprint, not the configured capacity.
+func (a *SetArray) Snap(s *snap.Stream) {
+	sets, ways := a.sets, a.ways
+	s.U64(&sets)
+	snap.Uint32(s, &ways)
 	if sets != a.sets || ways != a.ways {
-		d.Invalid("set array shape %dx%d, snapshot has %dx%d", a.sets, a.ways, sets, ways)
-		return d.Err()
+		s.Invalid("set array shape %dx%d, snapshot has %dx%d", a.sets, a.ways, sets, ways)
+		return
 	}
-	clear(a.slots)
-	for k := 0; k < n; k++ {
-		i := d.U32()
-		w := d.U64()
-		if d.Err() != nil {
-			return d.Err()
-		}
-		if int(i) >= len(a.slots) {
-			d.Invalid("slot index %d out of range (%d slots)", i, len(a.slots))
-			return d.Err()
-		}
-		a.slots[i] = w
-	}
-	return d.Err()
+	snap.Sparse(s, "slot index", a.slots, 0, snap.Uint32[int], (*snap.Stream).U64)
 }
 
-func snapshotStats(e *snap.Encoder, s Stats) {
-	e.U64(s.Accesses)
-	e.U64(s.Hits)
-	e.U64(s.Misses)
-	e.U64(s.Fills)
-	e.U64(s.Writebacks)
-	e.U64(s.TagProbes)
-	e.U64(s.ProbeSkips)
-	e.U64(s.WastedOff)
-}
-
-func restoreStats(d *snap.Decoder) Stats {
-	var s Stats
-	s.Accesses = d.U64()
-	s.Hits = d.U64()
-	s.Misses = d.U64()
-	s.Fills = d.U64()
-	s.Writebacks = d.U64()
-	s.TagProbes = d.U64()
-	s.ProbeSkips = d.U64()
-	s.WastedOff = d.U64()
-	return s
+// snap carries the counters.
+func (st *Stats) snap(s *snap.Stream) {
+	for _, c := range []*uint64{
+		&st.Accesses, &st.Hits, &st.Misses, &st.Fills,
+		&st.Writebacks, &st.TagProbes, &st.ProbeSkips, &st.WastedOff,
+	} {
+		s.U64(c)
+	}
 }

@@ -100,48 +100,10 @@ func (t *TagCache) Lookup(phys uint64, write bool) Result {
 	return res
 }
 
-// SnapshotTo implements snap.Snapshotter. The tag buffer serializes
-// sparsely like the slot array.
-func (t *TagCache) SnapshotTo(e *snap.Encoder) {
-	t.arr.SnapshotTo(e)
-	n := 0
-	for _, v := range t.tb {
-		if v != 0 {
-			n++
-		}
-	}
-	e.U32(uint32(n))
-	for i, v := range t.tb {
-		if v != 0 {
-			e.U32(uint32(i))
-			e.U64(v)
-		}
-	}
-	snapshotStats(e, t.stats)
-}
-
-// RestoreFrom implements snap.Snapshotter.
-func (t *TagCache) RestoreFrom(d *snap.Decoder) error {
-	if err := t.arr.RestoreFrom(d); err != nil {
-		return err
-	}
-	n := int(d.U32())
-	if d.Err() != nil {
-		return d.Err()
-	}
-	clear(t.tb)
-	for k := 0; k < n; k++ {
-		i := d.U32()
-		v := d.U64()
-		if d.Err() != nil {
-			return d.Err()
-		}
-		if int(i) >= len(t.tb) {
-			d.Invalid("tag-buffer index %d out of range (%d entries)", i, len(t.tb))
-			return d.Err()
-		}
-		t.tb[i] = v
-	}
-	t.stats = restoreStats(d)
-	return d.Err()
+// Snap implements snap.Snapshotter. The tag buffer serializes sparsely
+// like the slot array.
+func (t *TagCache) Snap(s *snap.Stream) {
+	t.arr.Snap(s)
+	snap.Sparse(s, "tag-buffer index", t.tb, 0, snap.Uint32[int], (*snap.Stream).U64)
+	t.stats.snap(s)
 }

@@ -97,29 +97,54 @@ func checkpointIncompatible(cfg Config) error {
 	return nil
 }
 
+// meta is a checkpoint's meta section: the configuration digest, the
+// records completed, and how the trace source rides along (its position,
+// for the position kind).
+type meta struct {
+	digest, records uint64
+	kind            uint8
+	pos             uint64
+}
+
+// Snap implements snap.Snapshotter.
+func (m *meta) Snap(s *snap.Stream) {
+	s.U64(&m.digest)
+	s.U64(&m.records)
+	s.U8(&m.kind)
+	s.U64(&m.pos)
+}
+
+// readMeta reads the meta section of a validated container.
+func readMeta(d *snap.Decoder) (meta, error) {
+	var m meta
+	s, err := d.Section("meta")
+	if err != nil {
+		return m, err
+	}
+	m.Snap(s)
+	return m, s.Err()
+}
+
 // takeCheckpoint serializes the run state after n completed records, with
 // one controller section per channel in channel order (see ctrlSection),
 // so InspectCheckpoint shows the per-channel layout.
 func takeCheckpoint(cfg Config, src trace.Source, hub *memctrl.Hub, n uint64) ([]byte, error) {
+	m := meta{digest: ConfigDigest(cfg), records: n, kind: sourceSnapshot}
+	state, isSnap := src.(snap.Snapshotter)
+	if !isSnap {
+		p, ok := src.(trace.Positioner)
+		if !ok {
+			return nil, fmt.Errorf("%w (%T)", ErrSourceNotCheckpointable, src)
+		}
+		m.kind, m.pos = sourcePosition, p.Position()
+	}
 	e := snap.NewEncoder()
-	e.Section("meta")
-	e.U64(ConfigDigest(cfg))
-	e.U64(n)
-	switch s := src.(type) {
-	case snap.Snapshotter:
-		e.U8(sourceSnapshot)
-		e.U64(0)
-		e.Section("source")
-		s.SnapshotTo(e)
-	case trace.Positioner:
-		e.U8(sourcePosition)
-		e.U64(s.Position())
-	default:
-		return nil, fmt.Errorf("%w (%T)", ErrSourceNotCheckpointable, src)
+	m.Snap(e.Section("meta"))
+	if isSnap {
+		state.Snap(e.Section("source"))
 	}
 	for i := 0; i < hub.Channels(); i++ {
-		e.Section(ctrlSection(hub, i))
-		hub.Shard(i).SnapshotTo(e)
+		hub.Shard(i).Snap(e.Section(ctrlSection(hub, i)))
 	}
 	return e.Finish()
 }
@@ -144,52 +169,53 @@ func restoreCheckpoint(cfg Config, src trace.Source, hub *memctrl.Hub, data []by
 	if err != nil {
 		return 0, err
 	}
-	if err := d.Section("meta"); err != nil {
+	m, err := readMeta(d)
+	if err != nil {
 		return 0, err
 	}
-	digest := d.U64()
-	n := d.U64()
-	kind := d.U8()
-	pos := d.U64()
-	if err := d.Err(); err != nil {
-		return 0, err
+	if m.digest != ConfigDigest(cfg) {
+		return 0, fmt.Errorf("%w: digest %016x, this run is %016x", ErrConfigMismatch, m.digest, ConfigDigest(cfg))
 	}
-	if digest != ConfigDigest(cfg) {
-		return 0, fmt.Errorf("%w: digest %016x, this run is %016x", ErrConfigMismatch, digest, ConfigDigest(cfg))
-	}
-	switch kind {
+	switch m.kind {
 	case sourceSnapshot:
-		s, ok := src.(snap.Snapshotter)
+		state, ok := src.(snap.Snapshotter)
 		if !ok {
 			return 0, fmt.Errorf("sim: checkpoint holds source state but %T cannot restore it", src)
 		}
-		if err := d.Section("source"); err != nil {
-			return 0, err
-		}
-		if err := s.RestoreFrom(d); err != nil {
+		if err := restoreSection(d, "source", state); err != nil {
 			return 0, err
 		}
 	case sourcePosition:
-		s, ok := src.(trace.Positioner)
+		p, ok := src.(trace.Positioner)
 		if !ok {
 			return 0, fmt.Errorf("sim: checkpoint holds a source position but %T cannot seek", src)
 		}
-		if err := s.SkipTo(pos); err != nil {
+		if err := p.SkipTo(m.pos); err != nil {
 			return 0, err
 		}
 	default:
-		d.Invalid("unknown source kind %d", kind)
-		return 0, d.Err()
+		return 0, unknownSourceKind(m.kind)
 	}
 	for i := 0; i < hub.Channels(); i++ {
-		if err := d.Section(ctrlSection(hub, i)); err != nil {
-			return 0, err
-		}
-		if err := hub.Shard(i).RestoreFrom(d); err != nil {
+		if err := restoreSection(d, ctrlSection(hub, i), hub.Shard(i)); err != nil {
 			return 0, err
 		}
 	}
-	return n, d.Err()
+	return m.records, nil
+}
+
+// restoreSection restores one component from the named section.
+func restoreSection(d *snap.Decoder, name string, part snap.Snapshotter) error {
+	s, err := d.Section(name)
+	if err != nil {
+		return err
+	}
+	part.Snap(s)
+	return s.Err()
+}
+
+func unknownSourceKind(kind uint8) error {
+	return fmt.Errorf("%w: section \"meta\": unknown source kind %d", snap.ErrCorrupt, kind)
 }
 
 // CheckpointInfo summarizes a checkpoint without restoring it.
@@ -210,26 +236,18 @@ func InspectCheckpoint(data []byte) (CheckpointInfo, error) {
 	if err != nil {
 		return CheckpointInfo{}, err
 	}
-	info := CheckpointInfo{Sections: d.Sections(), Bytes: len(data)}
-	if err := d.Section("meta"); err != nil {
+	m, err := readMeta(d)
+	if err != nil {
 		return CheckpointInfo{}, err
 	}
-	info.ConfigDigest = d.U64()
-	info.Records = d.U64()
-	kind := d.U8()
-	info.SourcePosition = d.U64()
-	if err := d.Err(); err != nil {
-		return CheckpointInfo{}, err
-	}
-	switch kind {
+	info := CheckpointInfo{Records: m.records, ConfigDigest: m.digest, Sections: d.Sections(), Bytes: len(data)}
+	switch m.kind {
 	case sourceSnapshot:
 		info.SourceKind = "snapshot"
-		info.SourcePosition = 0
 	case sourcePosition:
-		info.SourceKind = "position"
+		info.SourceKind, info.SourcePosition = "position", m.pos
 	default:
-		d.Invalid("unknown source kind %d", kind)
-		return CheckpointInfo{}, d.Err()
+		return CheckpointInfo{}, unknownSourceKind(m.kind)
 	}
 	return info, nil
 }

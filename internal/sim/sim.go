@@ -181,6 +181,49 @@ type Result struct {
 	Faults *fault.Report `json:",omitempty"`
 }
 
+// newHub builds the run's memory pipeline: one controller per channel
+// behind a hub, with per-channel observability registries when the run
+// collects metrics and power meters when it meters power.
+func newHub(cfg Config) (*memctrl.Hub, []*obs.Registry, []*power.Meter, error) {
+	n := max(cfg.Channels, 1)
+	observed := cfg.Metrics || cfg.SpanTrace > 0 || cfg.EpochSeries > 0
+	regs := make([]*obs.Registry, n)
+	meters := make([]*power.Meter, n)
+	for i := 0; i < n; i++ {
+		if observed {
+			// Each Enable is a no-op for a non-positive capacity.
+			regs[i] = obs.NewRegistry()
+			regs[i].EnableSpans(cfg.SpanTrace)
+			regs[i].EnableSeries(cfg.EpochSeries)
+		}
+		if cfg.MeterPower {
+			meters[i] = power.NewMeter(config.PaperPower())
+		}
+	}
+	mcfg := memctrl.Config{
+		Geometry:   cfg.Geometry,
+		Latencies:  cfg.Latencies,
+		OffTiming:  cfg.OffTiming,
+		OnTiming:   cfg.OnTiming,
+		Migration:  cfg.Migration,
+		Scheme:     cfg.Scheme,
+		OSAssisted: cfg.OSAssisted,
+		Sched:      cfg.Sched,
+		Audit:      cfg.Audit,
+		Fault:      cfg.Fault,
+	}
+	hubCfg := memctrl.HubConfig{Channels: n, Interleave: cfg.InterleaveBytes, HopLatency: cfg.HopLatency}
+	if n == 1 {
+		// A single-channel hub is a bare controller and takes its
+		// instruments from the controller config.
+		mcfg.Obs, mcfg.Power = regs[0], meters[0]
+	} else {
+		hubCfg.ShardObs, hubCfg.ShardPower = regs, meters
+	}
+	hub, err := memctrl.NewHub(mcfg, hubCfg, nil)
+	return hub, regs, meters, err
+}
+
 // cancelStride is how many records pass between cooperative cancellation
 // checks in RunContext: frequent enough that a signal aborts a run within
 // microseconds of wall time, sparse enough that the per-record hot path
@@ -238,40 +281,7 @@ func RunContext(ctx context.Context, src trace.Source, cfg Config) (Result, erro
 	}
 	n := max(cfg.Channels, 1)
 	observed := cfg.Metrics || cfg.SpanTrace > 0 || cfg.EpochSeries > 0
-	regs := make([]*obs.Registry, n)
-	meters := make([]*power.Meter, n)
-	for i := 0; i < n; i++ {
-		if observed {
-			// Each Enable is a no-op for a non-positive capacity.
-			regs[i] = obs.NewRegistry()
-			regs[i].EnableSpans(cfg.SpanTrace)
-			regs[i].EnableSeries(cfg.EpochSeries)
-		}
-		if cfg.MeterPower {
-			meters[i] = power.NewMeter(config.PaperPower())
-		}
-	}
-	mcfg := memctrl.Config{
-		Geometry:   cfg.Geometry,
-		Latencies:  cfg.Latencies,
-		OffTiming:  cfg.OffTiming,
-		OnTiming:   cfg.OnTiming,
-		Migration:  cfg.Migration,
-		Scheme:     cfg.Scheme,
-		OSAssisted: cfg.OSAssisted,
-		Sched:      cfg.Sched,
-		Audit:      cfg.Audit,
-		Fault:      cfg.Fault,
-	}
-	hubCfg := memctrl.HubConfig{Channels: n, Interleave: cfg.InterleaveBytes, HopLatency: cfg.HopLatency}
-	if n == 1 {
-		// A single-channel hub is a bare controller and takes its
-		// instruments from the controller config.
-		mcfg.Obs, mcfg.Power = regs[0], meters[0]
-	} else {
-		hubCfg.ShardObs, hubCfg.ShardPower = regs, meters
-	}
-	hub, err := memctrl.NewHub(mcfg, hubCfg, nil)
+	hub, regs, meters, err := newHub(cfg)
 	if err != nil {
 		return Result{}, err
 	}

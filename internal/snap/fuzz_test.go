@@ -9,19 +9,20 @@ import (
 // must either decode cleanly or be rejected with ErrCorrupt / *VersionError
 // — never panic, never hang, never accept structurally damaged framing.
 // Valid inputs are additionally re-walked section by section to exercise
-// the payload readers.
+// the stream readers.
 func FuzzSnapshotRestore(f *testing.F) {
 	// Seed corpus: a well-formed snapshot plus near-miss mutants.
 	good := func() []byte {
 		e := NewEncoder()
-		e.Section("meta")
-		e.U64(0x1234)
-		e.String("cfg")
-		e.Section("state")
-		e.Count(4)
-		for i := 0; i < 4; i++ {
-			e.U64(uint64(i))
-			e.Bool(i%2 == 0)
+		m := e.Section("meta")
+		v, cfg := uint64(0x1234), "cfg"
+		m.U64(&v)
+		m.String(&cfg)
+		s := e.Section("state")
+		for i := range s.Len(4, 9) {
+			x, odd := uint64(i), i%2 == 0
+			s.U64(&x)
+			s.Bool(&odd)
 		}
 		b, err := e.Finish()
 		if err != nil {
@@ -51,28 +52,37 @@ func FuzzSnapshotRestore(f *testing.F) {
 			return
 		}
 		// Structurally valid: drain every section through the typed
-		// readers; latched errors are fine, panics are not.
+		// readers until the latched end-of-payload error; latched errors
+		// are fine, panics are not. Every read consumes at least one byte
+		// or latches, so the drain terminates.
 		for _, name := range d.Sections() {
-			if err := d.Section(name); err != nil {
-				return
+			s, err := d.Section(name)
+			if err != nil {
+				t.Fatal(err)
 			}
-			for d.Remaining() > 0 && d.Err() == nil {
-				switch d.Remaining() % 5 {
+			var (
+				u  uint64
+				b  uint8
+				ok bool
+				st string
+			)
+			for s.Err() == nil {
+				switch len(s.buf) % 5 {
 				case 0:
-					d.U64()
+					s.U64(&u)
 				case 1:
-					d.U8()
+					s.U8(&b)
 				case 2:
-					d.Bytes()
+					s.String(&st)
 				case 3:
-					d.Bool()
+					s.Bool(&ok)
 				case 4:
-					d.Count(1)
+					s.Len(0, 1)
 				}
 			}
-		}
-		if err := d.Err(); err != nil && !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("untyped read error: %v", err)
+			if err := s.Err(); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("untyped read error: %v", err)
+			}
 		}
 	})
 }

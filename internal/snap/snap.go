@@ -1,6 +1,7 @@
-// Package snap implements the simulator's checkpoint container: a
-// versioned, CRC-checksummed, length-prefixed binary format plus the
-// Snapshotter interface every stateful component implements.
+// Package snap implements the simulator's checkpoint container — a
+// versioned, CRC-checksummed, length-prefixed binary format — and the
+// Stream through which every stateful component describes its state once,
+// for both writing and reading.
 //
 // # Container layout
 //
@@ -26,14 +27,31 @@
 // them. Decoding validates the magic, version, every section CRC, and the
 // whole-file CRC before any payload is handed to a component, so a
 // truncated or bit-flipped snapshot is rejected with ErrCorrupt (or a
-// *VersionError for a version skew) rather than mis-restored.
+// *VersionError for a version skew) before any state is touched.
+//
+// # One format description per component
+//
+// A component implements Snapshotter with a single Snap method that names
+// each field once, in wire order. Encoder.Section hands it a writing
+// Stream, on which every primitive appends the value its pointer holds;
+// Decoder.Section hands it a reading Stream, on which the same calls
+// overwrite the pointees. The method branches on Reading only where the
+// two sides really differ: sparse lists, intrusive queues, and derived
+// state rebuilt on restore. Every count read from a payload is bounded
+// (Len, Shape, Sparse) before it sizes anything.
+//
+// A payload that passes its CRCs can still be semantically wrong. Readers
+// reject it with an ErrCorrupt-wrapped error, but the components read
+// before the inconsistency was found are already overwritten: a failed
+// restore leaves its targets unusable, and callers discard them.
 //
 // # Error latching
 //
-// Both Encoder and Decoder latch their first error: after it, every
-// primitive call is a cheap no-op (reads return zero values) and the
-// error surfaces once from Finish/Err. Components can therefore write and
-// read their state linearly without per-call error plumbing.
+// A Stream latches its first error, which surfaces once from Err (and
+// from Encoder.Finish, which then returns no bytes). After it, every read
+// is a cheap no-op that leaves its pointee untouched and Len returns 0.
+// Components therefore describe their state linearly without per-call
+// error plumbing.
 package snap
 
 import (
@@ -50,9 +68,9 @@ const Version uint16 = 1
 
 var magic = [4]byte{'H', 'M', 'S', 'N'}
 
-// ErrCorrupt is the sentinel wrapped by every structural decoding error:
-// bad magic, truncation, CRC mismatch, malformed section framing, or a
-// component reading past its payload. Match with errors.Is.
+// ErrCorrupt is the sentinel wrapped by every decoding error: bad magic,
+// truncation, CRC mismatch, malformed section framing, a component reading
+// past its payload, or a payload a component rejects. Match with errors.Is.
 var ErrCorrupt = errors.New("snap: corrupt snapshot")
 
 // VersionError reports a snapshot written by a different format version.
@@ -69,23 +87,257 @@ func corruptf(format string, args ...any) error {
 }
 
 // Snapshotter is implemented by every component whose state participates
-// in a checkpoint. SnapshotTo writes the state into the encoder's current
-// section (errors latch inside the encoder); RestoreFrom reads it back and
-// reports the first inconsistency.
+// in a checkpoint. Snap writes the state into a writing stream or restores
+// it from a reading one; inconsistencies latch in the stream.
 type Snapshotter interface {
-	SnapshotTo(e *Encoder)
-	RestoreFrom(d *Decoder) error
+	Snap(s *Stream)
 }
 
-// Encoder builds a snapshot. Open a section with Section, write primitives,
-// then call Finish for the framed bytes. The zero value is not usable; use
-// NewEncoder.
-type Encoder struct {
-	out     []byte
+// Stream is one section payload seen from either side: while writing, each
+// primitive appends the value its pointer holds; while reading, it
+// overwrites the pointee with the next value of the payload.
+type Stream struct {
+	reading bool
 	name    string
-	payload []byte
-	open    bool
+	buf     []byte // writing: the payload so far; reading: the unread rest
 	err     error
+}
+
+// Reading reports whether the stream restores state (true) or records it.
+func (s *Stream) Reading() bool { return s.reading }
+
+// Err returns the latched error, if any.
+func (s *Stream) Err() error { return s.err }
+
+// Fail latches err (the first one wins).
+func (s *Stream) Fail(err error) {
+	if s.err == nil && err != nil {
+		s.err = err
+	}
+}
+
+// Invalid latches a semantic validation failure found while restoring (a
+// count that disagrees with the rebuilt structure, an enum out of range,
+// ...). It wraps ErrCorrupt like the structural errors do.
+func (s *Stream) Invalid(format string, args ...any) {
+	s.Fail(corruptf("section %q: %s", s.name, fmt.Sprintf(format, args...)))
+}
+
+// take consumes n payload bytes, or latches a truncation error.
+func (s *Stream) take(n int) []byte {
+	if s.err != nil {
+		return nil
+	}
+	if len(s.buf) < n {
+		s.Invalid("read past end of payload")
+		return nil
+	}
+	b := s.buf[:n]
+	s.buf = s.buf[n:]
+	return b
+}
+
+// U64 carries a little-endian uint64.
+func (s *Stream) U64(v *uint64) {
+	if !s.reading {
+		s.buf = binary.LittleEndian.AppendUint64(s.buf, *v)
+	} else if b := s.take(8); b != nil {
+		*v = binary.LittleEndian.Uint64(b)
+	}
+}
+
+// U32 carries a little-endian uint32.
+func (s *Stream) U32(v *uint32) {
+	if !s.reading {
+		s.buf = binary.LittleEndian.AppendUint32(s.buf, *v)
+	} else if b := s.take(4); b != nil {
+		*v = binary.LittleEndian.Uint32(b)
+	}
+}
+
+// U8 carries one byte.
+func (s *Stream) U8(v *uint8) {
+	if !s.reading {
+		s.buf = append(s.buf, *v)
+	} else if b := s.take(1); b != nil {
+		*v = b[0]
+	}
+}
+
+// Bool carries one byte, 0 or 1; reading any other byte is corrupt.
+func (s *Stream) Bool(v *bool) {
+	if !s.reading {
+		b := uint8(0)
+		if *v {
+			b = 1
+		}
+		s.buf = append(s.buf, b)
+		return
+	}
+	switch b := s.take(1); {
+	case b == nil:
+	case b[0] > 1:
+		s.Invalid("invalid bool byte")
+	default:
+		*v = b[0] == 1
+	}
+}
+
+// F64 carries a float64 as its IEEE-754 bit pattern.
+func (s *Stream) F64(v *float64) {
+	bits := math.Float64bits(*v)
+	s.U64(&bits)
+	if s.reading && s.err == nil {
+		*v = math.Float64frombits(bits)
+	}
+}
+
+// String carries a u32 length prefix followed by the raw bytes.
+func (s *Stream) String(v *string) {
+	n := s.Len(len(*v), 1)
+	if !s.reading {
+		s.buf = append(s.buf, *v...)
+		return
+	}
+	if b := s.take(n); s.err == nil {
+		*v = string(b)
+	}
+}
+
+// Len carries an element count as a u32 and returns it. Writing, it records
+// n. Reading, it returns the recorded count after bounding it by the
+// payload left: with every element at least itemMin bytes on the wire, a
+// count the remaining bytes cannot hold is corrupt, so a hostile count
+// never sizes an allocation. It returns 0 after an error.
+func (s *Stream) Len(n, itemMin int) int {
+	if !s.reading {
+		if n < 0 || n > math.MaxUint32 {
+			s.Fail(fmt.Errorf("snap: section %q: count %d out of range", s.name, n))
+			return 0
+		}
+		u := uint32(n)
+		s.U32(&u)
+		return n
+	}
+	var u uint32
+	s.U32(&u)
+	if s.err != nil {
+		return 0
+	}
+	if int(u) > len(s.buf)/max(itemMin, 1) {
+		s.Invalid("count %d exceeds remaining payload", u)
+		return 0
+	}
+	return int(u)
+}
+
+// Shape carries a dimension the restore target already has — a slot,
+// channel or level count fixed at construction — as a u32. Reading, the
+// recorded value must equal n.
+func (s *Stream) Shape(n int, what string) {
+	got := uint32(n)
+	s.U32(&got)
+	if s.reading && s.err == nil && int(got) != n {
+		s.Invalid("%s: target has %d, snapshot has %d", what, n, got)
+	}
+}
+
+// Present carries whether an optional part exists and reports whether to
+// carry it. The restore target was built from the same configuration, so
+// the recorded flag must equal has.
+func (s *Stream) Present(has bool, what string) bool {
+	got := has
+	s.Bool(&got)
+	if got != has {
+		s.Invalid("%s presence mismatch", what)
+	}
+	return has && s.err == nil
+}
+
+// Bools carries a fixed-length bool vector: its length (see Shape), then
+// one byte per entry.
+func (s *Stream) Bools(b []bool) {
+	s.Shape(len(b), "bool vector")
+	for i := range b {
+		s.Bool(&b[i])
+	}
+}
+
+// Int64 carries an integer field as a two's-complement int64.
+func Int64[T ~int | ~int64](s *Stream, v *T) {
+	u := uint64(*v)
+	s.U64(&u)
+	if s.reading && s.err == nil {
+		*v = T(int64(u))
+	}
+}
+
+// Uint32 carries a non-negative integer field as a u32.
+func Uint32[T ~int | ~int32](s *Stream, v *T) {
+	u := uint32(*v)
+	s.U32(&u)
+	if s.reading && s.err == nil {
+		*v = T(u)
+	}
+}
+
+// Sparse carries the entries of a dense array that differ from zero —
+// their count, then each entry's index and value in ascending index order —
+// so a mostly-default array costs what was touched, not its capacity.
+// index and value name the wire form of an entry's two halves. Reading, a
+// is reset to zero first, the count may not exceed len(a), and every index
+// must fall inside a and appear once.
+func Sparse[T comparable](s *Stream, what string, a []T, zero T, index func(*Stream, *int), value func(*Stream, *T)) {
+	n := 0
+	if !s.reading {
+		for _, v := range a {
+			if v != zero {
+				n++
+			}
+		}
+	}
+	n = s.Len(n, 1)
+	if n > len(a) {
+		s.Invalid("%s list holds %d entries, array has %d", what, n, len(a))
+		return
+	}
+	if s.reading {
+		for i := range a {
+			a[i] = zero
+		}
+	}
+	i := -1 // the entry's index; writing, the last entry visited
+	for range n {
+		if !s.reading {
+			for i++; a[i] == zero; i++ {
+			}
+		}
+		index(s, &i)
+		if s.reading {
+			if s.err != nil {
+				return
+			}
+			if i < 0 || i >= len(a) {
+				s.Invalid("%s %d out of range (%d entries)", what, i, len(a))
+				return
+			}
+			if a[i] != zero {
+				s.Invalid("%s %d appears twice", what, i)
+				return
+			}
+		}
+		value(s, &a[i])
+	}
+}
+
+// Encoder builds a snapshot. Open a section with Section, describe the
+// component state through the stream it returns, then call Finish for the
+// framed bytes. The zero value is not usable; use NewEncoder.
+type Encoder struct {
+	out  []byte
+	cur  Stream
+	open bool
+	err  error
 }
 
 // NewEncoder returns an encoder with the container header written.
@@ -97,50 +349,40 @@ func NewEncoder() *Encoder {
 	return e
 }
 
-// Fail latches err (the first one wins). Subsequent writes are no-ops and
-// Finish returns the error.
-func (e *Encoder) Fail(err error) {
-	if e.err == nil && err != nil {
-		e.err = err
-	}
-}
-
-// Err returns the latched error, if any.
-func (e *Encoder) Err() error { return e.err }
-
 func (e *Encoder) flushSection() {
 	if !e.open {
 		return
 	}
 	e.open = false
+	if e.err == nil {
+		e.err = e.cur.err
+	}
 	if e.err != nil {
 		return
 	}
-	if len(e.payload) > math.MaxUint32 {
-		e.Fail(fmt.Errorf("snap: section %q payload exceeds 4 GiB", e.name))
+	payload := e.cur.buf
+	if len(payload) > math.MaxUint32 {
+		e.err = fmt.Errorf("snap: section %q payload exceeds 4 GiB", e.cur.name)
 		return
 	}
-	e.out = append(e.out, byte(len(e.name)))
-	e.out = append(e.out, e.name...)
-	e.out = binary.LittleEndian.AppendUint32(e.out, uint32(len(e.payload)))
-	e.out = append(e.out, e.payload...)
-	e.out = binary.LittleEndian.AppendUint32(e.out, crc32.ChecksumIEEE(e.payload))
-	e.payload = e.payload[:0]
+	e.out = append(e.out, byte(len(e.cur.name)))
+	e.out = append(e.out, e.cur.name...)
+	e.out = binary.LittleEndian.AppendUint32(e.out, uint32(len(payload)))
+	e.out = append(e.out, payload...)
+	e.out = binary.LittleEndian.AppendUint32(e.out, crc32.ChecksumIEEE(payload))
 }
 
-// Section closes any open section and opens a new one named name. Names
-// must be 1..255 bytes.
-func (e *Encoder) Section(name string) {
+// Section closes any open section and opens a new one named name (1..255
+// bytes), returning the writing stream of its payload. The stream is valid
+// until the next Section or Finish call.
+func (e *Encoder) Section(name string) *Stream {
 	e.flushSection()
-	if e.err != nil {
-		return
+	if e.err == nil && (len(name) == 0 || len(name) > 255) {
+		e.err = fmt.Errorf("snap: invalid section name %q", name)
 	}
-	if len(name) == 0 || len(name) > 255 {
-		e.Fail(fmt.Errorf("snap: invalid section name %q", name))
-		return
-	}
-	e.name = name
+	e.cur = Stream{name: name, buf: e.cur.buf[:0], err: e.err}
 	e.open = true
+	return &e.cur
 }
 
 // Finish closes the last section, appends the trailer and whole-file CRC,
@@ -155,95 +397,12 @@ func (e *Encoder) Finish() ([]byte, error) {
 	return e.out, nil
 }
 
-func (e *Encoder) checkOpen() bool {
-	if e.err != nil {
-		return false
-	}
-	if !e.open {
-		e.Fail(errors.New("snap: primitive written outside a section"))
-		return false
-	}
-	return true
-}
-
-// U64 writes a little-endian uint64.
-func (e *Encoder) U64(v uint64) {
-	if e.checkOpen() {
-		e.payload = binary.LittleEndian.AppendUint64(e.payload, v)
-	}
-}
-
-// I64 writes an int64 (two's complement, little-endian).
-func (e *Encoder) I64(v int64) { e.U64(uint64(v)) }
-
-// U32 writes a little-endian uint32.
-func (e *Encoder) U32(v uint32) {
-	if e.checkOpen() {
-		e.payload = binary.LittleEndian.AppendUint32(e.payload, v)
-	}
-}
-
-// U16 writes a little-endian uint16.
-func (e *Encoder) U16(v uint16) {
-	if e.checkOpen() {
-		e.payload = binary.LittleEndian.AppendUint16(e.payload, v)
-	}
-}
-
-// U8 writes one byte.
-func (e *Encoder) U8(v uint8) {
-	if e.checkOpen() {
-		e.payload = append(e.payload, v)
-	}
-}
-
-// Bool writes one byte, 0 or 1.
-func (e *Encoder) Bool(v bool) {
-	b := uint8(0)
-	if v {
-		b = 1
-	}
-	e.U8(b)
-}
-
-// F64 writes a float64 as its IEEE-754 bit pattern.
-func (e *Encoder) F64(v float64) { e.U64(math.Float64bits(v)) }
-
-// Bytes writes a u32 length prefix followed by the raw bytes.
-func (e *Encoder) Bytes(b []byte) {
-	if !e.checkOpen() {
-		return
-	}
-	if len(b) > math.MaxUint32 {
-		e.Fail(errors.New("snap: byte slice exceeds 4 GiB"))
-		return
-	}
-	e.payload = binary.LittleEndian.AppendUint32(e.payload, uint32(len(b)))
-	e.payload = append(e.payload, b...)
-}
-
-// String writes a length-prefixed string.
-func (e *Encoder) String(s string) { e.Bytes([]byte(s)) }
-
-// Count writes a u32 element count; the decoder's Count validates it
-// against the remaining payload.
-func (e *Encoder) Count(n int) {
-	if n < 0 || n > math.MaxUint32 {
-		e.Fail(fmt.Errorf("snap: count %d out of range", n))
-		return
-	}
-	e.U32(uint32(n))
-}
-
 // Decoder reads a snapshot previously produced by an Encoder. NewDecoder
-// fully validates the container framing and checksums; Section then
-// positions the reader at a named payload.
+// fully validates the container framing and checksums; Section then hands
+// out a named payload.
 type Decoder struct {
 	sections map[string][]byte
 	order    []string
-	cur      []byte
-	curName  string
-	err      error
 }
 
 // NewDecoder validates the container (magic, version, framing, every
@@ -314,143 +473,12 @@ func NewDecoder(data []byte) (*Decoder, error) {
 // Sections returns the section names in file order.
 func (d *Decoder) Sections() []string { return append([]string(nil), d.order...) }
 
-// SectionLen returns the payload length of a named section and whether it
-// exists; a zero-length section reports (0, true).
-func (d *Decoder) SectionLen(name string) (int, bool) {
-	p, ok := d.sections[name]
-	return len(p), ok
-}
-
-// Section positions the decoder at the start of the named payload. A
-// missing section is an ErrCorrupt-wrapped error (it also latches).
-func (d *Decoder) Section(name string) error {
-	if d.err != nil {
-		return d.err
-	}
+// Section returns a reading stream over the named payload. A missing
+// section is an ErrCorrupt-wrapped error.
+func (d *Decoder) Section(name string) (*Stream, error) {
 	p, ok := d.sections[name]
 	if !ok {
-		d.err = corruptf("missing section %q", name)
-		return d.err
+		return nil, corruptf("missing section %q", name)
 	}
-	d.cur = p
-	d.curName = name
-	return nil
-}
-
-// Err returns the first error latched by any read.
-func (d *Decoder) Err() error { return d.err }
-
-// Invalid latches a semantic validation failure found by a component while
-// restoring (a count that disagrees with the rebuilt structure, an enum out
-// of range, ...). It wraps ErrCorrupt like the structural errors do.
-func (d *Decoder) Invalid(format string, args ...any) {
-	d.fail(format, args...)
-}
-
-// Remaining reports how many unread bytes the current section holds.
-func (d *Decoder) Remaining() int { return len(d.cur) }
-
-func (d *Decoder) fail(format string, args ...any) {
-	if d.err == nil {
-		d.err = corruptf("section %q: %s", d.curName, fmt.Sprintf(format, args...))
-	}
-}
-
-func (d *Decoder) take(n int) []byte {
-	if d.err != nil {
-		return nil
-	}
-	if len(d.cur) < n {
-		d.fail("read past end of payload")
-		return nil
-	}
-	b := d.cur[:n]
-	d.cur = d.cur[n:]
-	return b
-}
-
-// U64 reads a little-endian uint64 (zero after a latched error).
-func (d *Decoder) U64() uint64 {
-	if b := d.take(8); b != nil {
-		return binary.LittleEndian.Uint64(b)
-	}
-	return 0
-}
-
-// I64 reads an int64.
-func (d *Decoder) I64() int64 { return int64(d.U64()) }
-
-// U32 reads a little-endian uint32.
-func (d *Decoder) U32() uint32 {
-	if b := d.take(4); b != nil {
-		return binary.LittleEndian.Uint32(b)
-	}
-	return 0
-}
-
-// U16 reads a little-endian uint16.
-func (d *Decoder) U16() uint16 {
-	if b := d.take(2); b != nil {
-		return binary.LittleEndian.Uint16(b)
-	}
-	return 0
-}
-
-// U8 reads one byte.
-func (d *Decoder) U8() uint8 {
-	if b := d.take(1); b != nil {
-		return b[0]
-	}
-	return 0
-}
-
-// Bool reads one byte and requires it to be 0 or 1.
-func (d *Decoder) Bool() bool {
-	switch d.U8() {
-	case 0:
-		return false
-	case 1:
-		return true
-	default:
-		d.fail("invalid bool byte")
-		return false
-	}
-}
-
-// F64 reads a float64 bit pattern.
-func (d *Decoder) F64() float64 { return math.Float64frombits(d.U64()) }
-
-// Bytes reads a length-prefixed byte slice (a copy).
-func (d *Decoder) Bytes() []byte {
-	n := int(d.U32())
-	if d.err != nil {
-		return nil
-	}
-	if n > len(d.cur) {
-		d.fail("byte slice length %d exceeds payload", n)
-		return nil
-	}
-	return append([]byte(nil), d.take(n)...)
-}
-
-// String reads a length-prefixed string.
-func (d *Decoder) String() string { return string(d.Bytes()) }
-
-// Count reads an element count written by Encoder.Count and bounds it:
-// with each element at least itemMin bytes, the count may not exceed the
-// remaining payload. This keeps hostile counts from driving huge
-// allocations before the per-element reads would fail anyway.
-func (d *Decoder) Count(itemMin int) int {
-	n := int(d.U32())
-	if d.err != nil {
-		return 0
-	}
-	if itemMin < 1 {
-		itemMin = 1
-	}
-	if n > len(d.cur)/itemMin {
-		d.fail("count %d exceeds remaining payload", n)
-		return 0
-	}
-	return n
+	return &Stream{reading: true, name: name, buf: p}, nil
 }

@@ -3,26 +3,44 @@ package snap
 import (
 	"encoding/binary"
 	"errors"
+	"reflect"
 	"testing"
 )
+
+// sample is a value of every primitive the stream carries.
+type sample struct {
+	u64   uint64
+	i64   int64
+	f64   float64
+	t, f  bool
+	u32   uint32
+	u8    uint8
+	str   string
+	small int
+	list  []uint64
+}
+
+func (v *sample) Snap(s *Stream) {
+	s.U64(&v.u64)
+	Int64(s, &v.i64)
+	s.F64(&v.f64)
+	s.Bool(&v.t)
+	s.Bool(&v.f)
+	s.U32(&v.u32)
+	Uint32(s, &v.small)
+	s.U8(&v.u8)
+	s.String(&v.str)
+}
 
 func buildSample(t *testing.T) []byte {
 	t.Helper()
 	e := NewEncoder()
-	e.Section("alpha")
-	e.U64(0xdeadbeefcafef00d)
-	e.I64(-42)
-	e.F64(3.5)
-	e.Bool(true)
-	e.Bool(false)
-	e.U32(7)
-	e.U16(300)
-	e.U8(9)
-	e.String("hello")
-	e.Section("beta")
-	e.Count(3)
-	for i := 0; i < 3; i++ {
-		e.U64(uint64(i * 11))
+	v := sample{u64: 0xdeadbeefcafef00d, i64: -42, f64: 3.5, t: true, u32: 7, small: 300, u8: 9, str: "hello"}
+	v.Snap(e.Section("alpha"))
+	s := e.Section("beta")
+	for i := range s.Len(3, 8) {
+		x := uint64(i * 11)
+		s.U64(&x)
 	}
 	e.Section("empty")
 	b, err := e.Finish()
@@ -41,68 +59,60 @@ func TestRoundTrip(t *testing.T) {
 	if got := d.Sections(); len(got) != 3 || got[0] != "alpha" || got[1] != "beta" || got[2] != "empty" {
 		t.Fatalf("sections = %v", got)
 	}
-	if err := d.Section("alpha"); err != nil {
+	s, err := d.Section("alpha")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if v := d.U64(); v != 0xdeadbeefcafef00d {
-		t.Fatalf("U64 = %#x", v)
+	var v sample
+	v.Snap(s)
+	want := sample{u64: 0xdeadbeefcafef00d, i64: -42, f64: 3.5, t: true, u32: 7, small: 300, u8: 9, str: "hello"}
+	if s.Err() != nil || !reflect.DeepEqual(v, want) {
+		t.Fatalf("alpha = %+v, %v; want %+v", v, s.Err(), want)
 	}
-	if v := d.I64(); v != -42 {
-		t.Fatalf("I64 = %d", v)
+	if len(s.buf) != 0 {
+		t.Fatalf("alpha has %d leftover bytes", len(s.buf))
 	}
-	if v := d.F64(); v != 3.5 {
-		t.Fatalf("F64 = %v", v)
-	}
-	if !d.Bool() || d.Bool() {
-		t.Fatal("Bool round-trip failed")
-	}
-	if d.U32() != 7 || d.U16() != 300 || d.U8() != 9 {
-		t.Fatal("small ints round-trip failed")
-	}
-	if s := d.String(); s != "hello" {
-		t.Fatalf("String = %q", s)
-	}
-	if d.Remaining() != 0 {
-		t.Fatalf("alpha has %d leftover bytes", d.Remaining())
-	}
-	if err := d.Section("beta"); err != nil {
+	if s, err = d.Section("beta"); err != nil {
 		t.Fatal(err)
 	}
-	n := d.Count(8)
+	n := s.Len(0, 8)
 	if n != 3 {
-		t.Fatalf("Count = %d", n)
+		t.Fatalf("Len = %d", n)
 	}
 	for i := 0; i < n; i++ {
-		if v := d.U64(); v != uint64(i*11) {
+		var v uint64
+		if s.U64(&v); v != uint64(i*11) {
 			t.Fatalf("beta[%d] = %d", i, v)
 		}
 	}
-	if ln, ok := d.SectionLen("empty"); !ok || ln != 0 {
-		t.Fatalf("empty section: len=%d ok=%v", ln, ok)
+	if s, err = d.Section("empty"); err != nil || len(s.buf) != 0 {
+		t.Fatalf("empty section: %v, %d bytes", err, len(s.buf))
 	}
-	if d.Err() != nil {
-		t.Fatal(d.Err())
+	if s.Err() != nil {
+		t.Fatal(s.Err())
 	}
 }
 
 func TestReadPastEndLatches(t *testing.T) {
-	b := buildSample(t)
-	d, err := NewDecoder(b)
+	d, err := NewDecoder(buildSample(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Section("empty"); err != nil {
+	s, err := d.Section("empty")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if v := d.U64(); v != 0 {
-		t.Fatalf("read past end returned %d, want 0", v)
+	v := uint64(5)
+	if s.U64(&v); v != 5 {
+		t.Fatalf("read past end overwrote the target with %d", v)
 	}
-	if !errors.Is(d.Err(), ErrCorrupt) {
-		t.Fatalf("Err() = %v, want ErrCorrupt", d.Err())
+	if !errors.Is(s.Err(), ErrCorrupt) {
+		t.Fatalf("Err() = %v, want ErrCorrupt", s.Err())
 	}
-	// Latched: further reads stay zero, error unchanged.
-	first := d.Err()
-	if d.U32() != 0 || d.Err() != first {
+	// Latched: further reads stay no-ops, error unchanged.
+	first := s.Err()
+	var u uint32
+	if s.U32(&u); u != 0 || s.Err() != first {
 		t.Fatal("error did not latch")
 	}
 }
@@ -112,7 +122,7 @@ func TestMissingSection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Section("nope"); !errors.Is(err, ErrCorrupt) {
+	if _, err := d.Section("nope"); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("missing section: %v", err)
 	}
 }
@@ -181,10 +191,9 @@ func TestCorruptionRejected(t *testing.T) {
 
 func TestDuplicateSectionRejected(t *testing.T) {
 	e := NewEncoder()
-	e.Section("x")
-	e.U8(1)
-	e.Section("x")
-	e.U8(2)
+	one, two := uint8(1), uint8(2)
+	e.Section("x").U8(&one)
+	e.Section("x").U8(&two)
 	b, err := e.Finish()
 	if err != nil {
 		t.Fatal(err)
@@ -194,10 +203,12 @@ func TestDuplicateSectionRejected(t *testing.T) {
 	}
 }
 
-func TestCountBoundsAllocation(t *testing.T) {
+// readOne builds a one-section snapshot from write and returns the reading
+// stream over that section.
+func readOne(t *testing.T, write func(*Stream)) *Stream {
+	t.Helper()
 	e := NewEncoder()
-	e.Section("s")
-	e.U32(1 << 30) // hostile count with no elements behind it
+	write(e.Section("s"))
 	b, err := e.Finish()
 	if err != nil {
 		t.Fatal(err)
@@ -206,51 +217,101 @@ func TestCountBoundsAllocation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Section("s"); err != nil {
+	s, err := d.Section("s")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if n := d.Count(8); n != 0 {
+	return s
+}
+
+func TestCountBoundsAllocation(t *testing.T) {
+	hostile := uint32(1 << 30) // a count with no elements behind it
+	s := readOne(t, func(s *Stream) { s.U32(&hostile) })
+	if n := s.Len(0, 8); n != 0 {
 		t.Fatalf("hostile count returned %d", n)
 	}
-	if !errors.Is(d.Err(), ErrCorrupt) {
-		t.Fatalf("Err() = %v", d.Err())
+	if !errors.Is(s.Err(), ErrCorrupt) {
+		t.Fatalf("Err() = %v", s.Err())
+	}
+
+	// Sparse bounds its count by the dense array it fills.
+	three := uint32(3)
+	s = readOne(t, func(s *Stream) { s.U32(&three) })
+	Sparse(s, "entry", make([]uint64, 2), 0, Uint32[int], (*Stream).U64)
+	if !errors.Is(s.Err(), ErrCorrupt) {
+		t.Fatalf("Sparse over-count: Err() = %v", s.Err())
+	}
+}
+
+func TestSparseRoundTrip(t *testing.T) {
+	src := []int32{-1, 4, -1, -1, 0, 7, -1}
+	s := readOne(t, func(s *Stream) { Sparse(s, "entry", src, -1, Int64[int], Uint32[int32]) })
+	got := []int32{9, 9, 9, 9, 9, 9, 9}
+	Sparse(s, "entry", got, -1, Int64[int], Uint32[int32])
+	if s.Err() != nil || !reflect.DeepEqual(got, src) {
+		t.Fatalf("Sparse round trip = %v, %v; want %v", got, s.Err(), src)
+	}
+
+	// A repeated or out-of-range index is corrupt.
+	for _, idx := range [][]uint32{{1, 1}, {0, 5}} {
+		s := readOne(t, func(s *Stream) {
+			n := uint32(len(idx))
+			s.U32(&n)
+			for _, i := range idx {
+				v := uint64(1)
+				s.U32(&i)
+				s.U64(&v)
+			}
+		})
+		Sparse(s, "entry", make([]uint64, 4), 0, Uint32[int], (*Stream).U64)
+		if !errors.Is(s.Err(), ErrCorrupt) {
+			t.Errorf("indices %v: Err() = %v, want ErrCorrupt", idx, s.Err())
+		}
+	}
+}
+
+func TestShapeAndPresence(t *testing.T) {
+	s := readOne(t, func(s *Stream) {
+		s.Shape(4, "slots")
+		s.Present(true, "part")
+	})
+	if s.Shape(4, "slots"); s.Err() != nil {
+		t.Fatal(s.Err())
+	}
+	if s.Present(false, "part") || !errors.Is(s.Err(), ErrCorrupt) {
+		t.Fatalf("presence mismatch: Err() = %v", s.Err())
+	}
+	s = readOne(t, func(s *Stream) { s.Bools([]bool{true, false}) })
+	if s.Bools(make([]bool, 3)); !errors.Is(s.Err(), ErrCorrupt) {
+		t.Fatalf("shape mismatch: Err() = %v", s.Err())
 	}
 }
 
 func TestEncoderErrorLatches(t *testing.T) {
 	e := NewEncoder()
-	e.U64(1) // primitive outside any section
+	e.Section("") // invalid name
 	e.Section("late")
-	e.U64(2)
 	if _, err := e.Finish(); err == nil {
 		t.Fatal("Finish succeeded after misuse")
 	}
 	e2 := NewEncoder()
-	e2.Section("ok")
 	sentinel := errors.New("component failed")
-	e2.Fail(sentinel)
+	e2.Section("ok").Fail(sentinel)
+	v := uint64(1)
+	s := e2.Section("next")
+	if s.U64(&v); s.Err() != sentinel {
+		t.Fatalf("section after a failure: Err() = %v, want the latched sentinel", s.Err())
+	}
 	if _, err := e2.Finish(); !errors.Is(err, sentinel) {
 		t.Fatalf("Finish = %v, want sentinel", err)
 	}
 }
 
 func TestBoolRejectsJunkByte(t *testing.T) {
-	e := NewEncoder()
-	e.Section("s")
-	e.U8(2)
-	b, err := e.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := NewDecoder(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Section("s"); err != nil {
-		t.Fatal(err)
-	}
-	_ = d.Bool()
-	if !errors.Is(d.Err(), ErrCorrupt) {
-		t.Fatalf("Bool(2): %v", d.Err())
+	junk := uint8(2)
+	s := readOne(t, func(s *Stream) { s.U8(&junk) })
+	var b bool
+	if s.Bool(&b); !errors.Is(s.Err(), ErrCorrupt) {
+		t.Fatalf("Bool(2): %v", s.Err())
 	}
 }

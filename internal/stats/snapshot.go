@@ -6,25 +6,14 @@ import (
 	"heteromem/internal/snap"
 )
 
-// SnapshotTo writes the accumulator's full Welford state.
-func (s *LatencyStat) SnapshotTo(e *snap.Encoder) {
-	e.U64(s.n)
-	e.F64(s.sum)
-	e.I64(s.min)
-	e.I64(s.max)
-	e.F64(s.m2)
-	e.F64(s.mu)
-}
-
-// RestoreFrom reads the state written by SnapshotTo.
-func (s *LatencyStat) RestoreFrom(d *snap.Decoder) error {
-	s.n = d.U64()
-	s.sum = d.F64()
-	s.min = d.I64()
-	s.max = d.I64()
-	s.m2 = d.F64()
-	s.mu = d.F64()
-	return d.Err()
+// Snap carries the accumulator's full Welford state.
+func (s *LatencyStat) Snap(st *snap.Stream) {
+	st.U64(&s.n)
+	st.F64(&s.sum)
+	snap.Int64(st, &s.min)
+	snap.Int64(st, &s.max)
+	st.F64(&s.m2)
+	st.F64(&s.mu)
 }
 
 // latencyStatJSON is the exported JSON shape of a LatencyStat. The fields
@@ -56,19 +45,10 @@ func (s *LatencyStat) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
-// SnapshotTo writes the bucket counts and total.
-func (h *Histogram) SnapshotTo(e *snap.Encoder) {
-	for _, b := range h.buckets {
-		e.U64(b)
-	}
-	e.U64(h.total)
-}
-
-// RestoreFrom reads the state written by SnapshotTo.
-func (h *Histogram) RestoreFrom(d *snap.Decoder) error {
+// Snap carries the bucket counts and total.
+func (h *Histogram) Snap(s *snap.Stream) {
 	for i := range h.buckets {
-		h.buckets[i] = d.U64()
+		s.U64(&h.buckets[i])
 	}
-	h.total = d.U64()
-	return d.Err()
+	s.U64(&h.total)
 }

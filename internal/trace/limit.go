@@ -47,60 +47,50 @@ const (
 	limitSrcPosition = 1 // inner record index only (Positioner)
 )
 
-// SnapshotTo makes a Limit checkpointable whenever its inner source is:
-// the remaining budget is serialized together with either the inner
-// source's full state or its position. A Limit over a source that supports
-// neither fails the snapshot with a clear error.
-func (l *Limit) SnapshotTo(e *snap.Encoder) {
-	e.U64(l.left)
-	switch s := l.src.(type) {
-	case snap.Snapshotter:
-		e.U8(limitSrcSnapshot)
-		s.SnapshotTo(e)
-	case Positioner:
-		e.U8(limitSrcPosition)
-		e.U64(s.Position())
-	default:
-		e.Fail(fmt.Errorf("trace: Limit source %T supports neither snapshot nor positioning", l.src))
+// Snap makes a Limit checkpointable whenever its inner source is: the
+// remaining budget is carried together with either the inner source's full
+// state or its position. A Limit over a source that supports neither fails
+// the snapshot with a clear error.
+func (l *Limit) Snap(s *snap.Stream) {
+	left := l.left
+	s.U64(&left)
+	inner, isSnap := l.src.(snap.Snapshotter)
+	pos, isPos := l.src.(Positioner)
+	kind := uint8(limitSrcSnapshot)
+	switch {
+	case isSnap:
+	case isPos:
+		kind = limitSrcPosition
+	case !s.Reading():
+		s.Fail(fmt.Errorf("trace: Limit source %T supports neither snapshot nor positioning", l.src))
+		return
 	}
-}
-
-// RestoreFrom implements snap.Snapshotter.
-func (l *Limit) RestoreFrom(d *snap.Decoder) error {
-	left := d.U64()
-	switch kind := d.U8(); kind {
+	s.U8(&kind)
+	switch kind {
 	case limitSrcSnapshot:
-		s, ok := l.src.(snap.Snapshotter)
-		if !ok {
-			d.Invalid("snapshot holds inner source state but %T cannot restore it", l.src)
-			return d.Err()
+		if !isSnap {
+			s.Invalid("snapshot holds inner source state but %T cannot restore it", l.src)
+			return
 		}
-		if err := d.Err(); err != nil {
-			return err
-		}
-		if err := s.RestoreFrom(d); err != nil {
-			return err
-		}
+		inner.Snap(s)
 	case limitSrcPosition:
-		pos := d.U64()
-		s, ok := l.src.(Positioner)
-		if !ok {
-			d.Invalid("snapshot holds an inner source position but %T cannot seek", l.src)
-			return d.Err()
+		var at uint64
+		if isPos {
+			at = pos.Position()
 		}
-		if err := d.Err(); err != nil {
-			return err
+		s.U64(&at)
+		if !isPos {
+			s.Invalid("snapshot holds an inner source position but %T cannot seek", l.src)
+			return
 		}
-		if err := s.SkipTo(pos); err != nil {
-			return err
+		if s.Reading() && s.Err() == nil {
+			s.Fail(pos.SkipTo(at))
 		}
 	default:
-		d.Invalid("unknown Limit source kind %d", kind)
-		return d.Err()
+		s.Invalid("unknown Limit source kind %d", kind)
+		return
 	}
-	if err := d.Err(); err != nil {
-		return err
+	if s.Reading() && s.Err() == nil {
+		l.left = left
 	}
-	l.left = left
-	return nil
 }

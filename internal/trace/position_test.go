@@ -139,11 +139,7 @@ func (s *snapSource) NextBatch(b *Batch) (int, error) {
 	}
 	return b.Len(), nil
 }
-func (s *snapSource) SnapshotTo(e *snap.Encoder) { e.U64(s.n) }
-func (s *snapSource) RestoreFrom(d *snap.Decoder) error {
-	s.n = d.U64()
-	return d.Err()
-}
+func (s *snapSource) Snap(st *snap.Stream) { st.U64(&s.n) }
 
 // limitRoundTrip snapshots l after consuming k records and restores the
 // snapshot into fresh, returning the next record from each.
@@ -155,8 +151,7 @@ func limitRoundTrip(t *testing.T, l, fresh *Limit, k int) (Record, Record) {
 		}
 	}
 	e := snap.NewEncoder()
-	e.Section("limit")
-	l.SnapshotTo(e)
+	l.Snap(e.Section("limit"))
 	data, err := e.Finish()
 	if err != nil {
 		t.Fatal(err)
@@ -165,11 +160,12 @@ func limitRoundTrip(t *testing.T, l, fresh *Limit, k int) (Record, Record) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Section("limit"); err != nil {
+	s, err := d.Section("limit")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fresh.RestoreFrom(d); err != nil {
-		t.Fatal(err)
+	if fresh.Snap(s); s.Err() != nil {
+		t.Fatal(s.Err())
 	}
 	want, err := nextRecord(l)
 	if err != nil {
@@ -201,8 +197,7 @@ func TestLimitSnapshotUnsupportedSource(t *testing.T) {
 	// Embedding hides every method but NextBatch.
 	l := NewLimit(struct{ Source }{NewSliceSource(nil)}, 10)
 	e := snap.NewEncoder()
-	e.Section("limit")
-	l.SnapshotTo(e)
+	l.Snap(e.Section("limit"))
 	if _, err := e.Finish(); err == nil {
 		t.Fatal("snapshotting a Limit over a non-checkpointable source should fail")
 	}

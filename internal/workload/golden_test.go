@@ -75,8 +75,7 @@ func TestGeneratorSnapshotRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		e := snap.NewEncoder()
-		e.Section("gen")
-		gen.SnapshotTo(e)
+		gen.Snap(e.Section("gen"))
 		b, err := e.Finish()
 		if err != nil {
 			t.Fatal(err)
@@ -92,11 +91,12 @@ func TestGeneratorSnapshotRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := d.Section("gen"); err != nil {
+		s, err := d.Section("gen")
+		if err != nil {
 			t.Fatal(err)
 		}
-		if err := fresh.RestoreFrom(d); err != nil {
-			t.Fatalf("%s: restore: %v", name, err)
+		if fresh.Snap(s); s.Err() != nil {
+			t.Fatalf("%s: restore: %v", name, s.Err())
 		}
 		if fresh.Position() != gen.Position() {
 			t.Fatalf("%s: position %d after restore, want %d", name, fresh.Position(), gen.Position())

@@ -14,13 +14,13 @@ import (
 )
 
 // stream produces a sequence of byte offsets within a region of the
-// workload's address space. Every stream serializes its mutable position
-// state (streams_snapshot.go) so a Generator mid-trace is checkpointable;
-// distribution parameters and layout are rebuilt from the Spec.
+// workload's address space. Every stream carries its mutable position
+// state through snap (streams_snapshot.go) so a Generator mid-trace is
+// checkpointable; distribution parameters and layout are rebuilt from the
+// Spec.
 type stream interface {
 	next(rng *rng.Rand) uint64
-	snapshotTo(e *snap.Encoder)
-	restoreFrom(d *snap.Decoder)
+	snap(s *snap.Stream)
 }
 
 // seqStream walks a region sequentially with a fixed stride, wrapping.

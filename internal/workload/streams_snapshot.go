@@ -7,61 +7,34 @@ import "heteromem/internal/snap"
 // the Spec when the generator is reconstructed, and the random state all
 // streams draw from lives in the Generator's shared PRNG.
 
-func (s *seqStream) snapshotTo(e *snap.Encoder) { e.U64(s.pos) }
-func (s *seqStream) restoreFrom(d *snap.Decoder) {
-	s.pos = d.U64()
+func (s *seqStream) snap(st *snap.Stream) { st.U64(&s.pos) }
+
+func (s *stridedStream) snap(st *snap.Stream) {
+	st.U64(&s.pos)
+	st.U64(&s.base)
+	st.U64(&s.inCh)
 }
 
-func (s *stridedStream) snapshotTo(e *snap.Encoder) {
-	e.U64(s.pos)
-	e.U64(s.base)
-	e.U64(s.inCh)
-}
-func (s *stridedStream) restoreFrom(d *snap.Decoder) {
-	s.pos = d.U64()
-	s.base = d.U64()
-	s.inCh = d.U64()
-}
+func (s *zipfStream) snap(*snap.Stream)    {} // draws only from the shared PRNG
+func (s *uniformStream) snap(*snap.Stream) {}
 
-func (s *zipfStream) snapshotTo(*snap.Encoder)  {} // draws only from the shared PRNG
-func (s *zipfStream) restoreFrom(*snap.Decoder) {}
+func (s *chaseStream) snap(st *snap.Stream) { st.U64(&s.cur) }
 
-func (s *uniformStream) snapshotTo(*snap.Encoder)  {}
-func (s *uniformStream) restoreFrom(*snap.Decoder) {}
-
-func (s *chaseStream) snapshotTo(e *snap.Encoder) { e.U64(s.cur) }
-func (s *chaseStream) restoreFrom(d *snap.Decoder) {
-	s.cur = d.U64()
-}
-
-func (v *vcycleStream) snapshotTo(e *snap.Encoder) {
-	e.U32(uint32(v.idx))
-	e.U32(uint32(v.count))
-	for i := range v.levels {
-		v.levels[i].snapshotTo(e)
-	}
-}
-func (v *vcycleStream) restoreFrom(d *snap.Decoder) {
-	v.idx = int(d.U32())
-	v.count = int(d.U32())
-	if d.Err() == nil && v.idx >= len(v.sched) {
-		d.Invalid("vcycle index %d out of range", v.idx)
+func (v *vcycleStream) snap(st *snap.Stream) {
+	snap.Uint32(st, &v.idx)
+	snap.Uint32(st, &v.count)
+	if v.idx >= len(v.sched) {
+		st.Invalid("vcycle index %d out of range", v.idx)
 		v.idx = 0
 	}
 	for i := range v.levels {
-		v.levels[i].restoreFrom(d)
+		v.levels[i].snap(st)
 	}
 }
 
-func (s *driftStream) snapshotTo(e *snap.Encoder) {
-	e.U64(s.count)
-	e.U64(s.base)
-	e.Bool(s.init)
-	s.inner.snapshotTo(e)
-}
-func (s *driftStream) restoreFrom(d *snap.Decoder) {
-	s.count = d.U64()
-	s.base = d.U64()
-	s.init = d.Bool()
-	s.inner.restoreFrom(d)
+func (s *driftStream) snap(st *snap.Stream) {
+	st.U64(&s.count)
+	st.U64(&s.base)
+	st.Bool(&s.init)
+	s.inner.snap(st)
 }
