@@ -1,10 +1,12 @@
-package heteromem
+package heteromem_test
 
 import (
 	"os"
 	"reflect"
 	"strconv"
 	"testing"
+
+	"heteromem"
 )
 
 // soakEnv reads an integer knob for the fault soak, falling back to def.
@@ -33,17 +35,17 @@ func TestFaultSoak(t *testing.T) {
 	fseed := soakEnv(t, "SOAK_SEED", 7)
 	for _, d := range []struct {
 		name   string
-		design Design
+		design heteromem.Design
 	}{
-		{"n", DesignN},
-		{"n-1", DesignN1},
-		{"live", DesignLive},
+		{"n", heteromem.DesignN},
+		{"n-1", heteromem.DesignN1},
+		{"live", heteromem.DesignLive},
 	} {
 		t.Run(d.name, func(t *testing.T) {
-			sys, err := New(Config{
-				Migration: Migration{Enabled: true, Design: d.design, SwapInterval: 1000},
+			sys, err := heteromem.New(heteromem.Config{
+				Migration: heteromem.Migration{Enabled: true, Design: d.design, SwapInterval: 1000},
 				Audit:     true,
-				Fault: FaultConfig{
+				Fault: heteromem.FaultConfig{
 					Seed:       fseed,
 					DeviceRate: 1e-4,
 					CopyRate:   1e-4,
@@ -78,9 +80,9 @@ func TestFaultSoak(t *testing.T) {
 // and carry no fault ledger. The fault layer must be invisible unless a
 // rate or schedule turns it on.
 func TestFaultConfigZeroValueIsInert(t *testing.T) {
-	run := func(fc FaultConfig) Result {
-		sys, err := New(Config{
-			Migration: Migration{Enabled: true, Design: DesignLive, SwapInterval: 1000},
+	run := func(fc heteromem.FaultConfig) heteromem.Result {
+		sys, err := heteromem.New(heteromem.Config{
+			Migration: heteromem.Migration{Enabled: true, Design: heteromem.DesignLive, SwapInterval: 1000},
 			Audit:     true,
 			Fault:     fc,
 		})
@@ -93,8 +95,8 @@ func TestFaultConfigZeroValueIsInert(t *testing.T) {
 		}
 		return res
 	}
-	zero := run(FaultConfig{})
-	seedOnly := run(FaultConfig{Seed: 99, RetryBudget: 5, RetireAfter: 2})
+	zero := run(heteromem.FaultConfig{})
+	seedOnly := run(heteromem.FaultConfig{Seed: 99, RetryBudget: 5, RetireAfter: 2})
 	if zero.Faults != nil || seedOnly.Faults != nil {
 		t.Fatalf("inert fault config produced a ledger: %+v / %+v", zero.Faults, seedOnly.Faults)
 	}

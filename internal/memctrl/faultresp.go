@@ -1,23 +1,27 @@
 package memctrl
 
 // Fault responses: instead of latching firstErr, the controller answers
-// injected faults (internal/fault) with graceful degradation, in escalating
-// order of severity:
+// injected faults (internal/fault) with graceful degradation. One ladder
+// decides the response for all three injection points, trying its rungs in
+// this order:
 //
-//  1. bounded retry — a faulted DRAM burst or copy leg is rescheduled after
-//     an exponential cycle-domain backoff; the faulted attempt's bus time
-//     has already been paid.
-//  2. abort-and-rollback — a swap whose copy traffic exhausts the retry
-//     budget is unwound: already-moved data is copied back in reverse order
-//     and the translation table is restored to its swap-start snapshot (the
-//     P-bit protocol keeps every page reachable throughout).
-//  3. slot retirement — an on-package frame that keeps faulting is taken
+//  1. absorbed — in degraded mode a fault is delivered as-is.
+//  2. slot retirement — an on-package frame that keeps faulting is taken
 //     out of service at the next quiescent point: its data is evacuated to
 //     a spare frame past Ω and the slot is pinned out of victim selection
 //     forever, shrinking the effective N by one.
-//  4. degraded mode — once the fault budget is exhausted, migration is
-//     disabled entirely; the current mapping stays live and the machine
-//     keeps running on a static (slower, but correct) configuration.
+//  3. freeze — once the fault budget is exhausted, migration is disabled
+//     at the next quiescent point; the current mapping stays live and the
+//     machine keeps running on a static (slower, but correct) configuration.
+//  4. bounded retry — a faulted DRAM burst, copy leg or step is re-run
+//     after an exponential cycle-domain backoff; the faulted attempt's bus
+//     time has already been paid.
+//  5. exhausted — a swap copy or step that spends its retry budget aborts
+//     the swap: already-moved data is copied back in reverse order and the
+//     translation table is restored to its swap-start snapshot (the P-bit
+//     protocol keeps every page reachable throughout). An undo copy that
+//     spends it abandons the rollback, and a program burst that spends it
+//     freezes migration.
 //
 // Every injected fault is accounted to exactly one disposition (Retried,
 // RolledBack, Retired, or Degraded), and Flush verifies the ledger balances
@@ -31,18 +35,47 @@ import (
 	"heteromem/internal/sched"
 )
 
-// copyVerdict is the decided response to one faulted copy leg.
-type copyVerdict int
+// rung is the step of the escalation ladder a fault stops at.
+type rung int
 
 const (
-	verdictRetry  copyVerdict = iota // reschedule the leg after backoff
-	verdictAccept                    // treat the leg as delivered anyway
-	verdictAbort                     // give up: roll back (or abandon the undo)
+	rungAbsorbed  rung = iota // degraded mode: the operation counts as delivered
+	rungRetire                // the frame keeps faulting: its slot is queued for retirement
+	rungFreeze                // the fault budget is spent: migration freezes once quiescent
+	rungRetry                 // within the retry budget: the operation is re-run
+	rungExhausted             // the retry budget is spent: the caller gives up
 )
 
-// account books one fault against its disposition.
-func (c *Controller) account(p fault.Point, d fault.Disposition) {
-	c.faultRep.Account(p, d)
+// ladder decides and books the response to one injected fault at point p,
+// for program bursts, copy legs and step completions alike. It marks the
+// fault on the span trace, walks the rungs in order, and books the fault's
+// disposition at the rung it stops at: Degraded when absorbed or frozen,
+// Retired, Retried, or the caller's exhausted disposition. addr is the
+// faulted operation's address (0 for a step); onFrame says the operation
+// wrote the on-package frame addr falls in, which may then be retired;
+// attempts counts the operation's earlier faults.
+func (c *Controller) ladder(p fault.Point, addr uint64, onFrame bool, attempts int, exhausted fault.Disposition, cycle int64) rung {
+	c.inst.spans.Mark(obs.LaneFault, obs.MarkFault, cycle, uint64(p), addr, uint64(attempts))
+	frame := addr / c.cfg.Geometry.MacroPageSize
+	switch {
+	case c.degradedMode:
+		c.faultRep.Account(p, fault.Degraded)
+		return rungAbsorbed
+	case onFrame && c.mig != nil && c.frameFault(frame) >= c.inj.RetireAfter() && c.canRetire(int(frame)):
+		c.faultRep.Account(p, fault.Retired)
+		c.retireQueued[frame] = true
+		c.retireQueue = append(c.retireQueue, int(frame))
+		return rungRetire
+	case c.overDegradeBudget():
+		c.faultRep.Account(p, fault.Degraded)
+		c.requestDegrade(cycle)
+		return rungFreeze
+	case attempts < c.inj.RetryBudget():
+		c.faultRep.Account(p, fault.Retried)
+		return rungRetry
+	}
+	c.faultRep.Account(p, exhausted)
+	return rungExhausted
 }
 
 // overDegradeBudget reports whether the total injected-fault count has
@@ -96,12 +129,6 @@ func (c *Controller) frameFault(frame uint64) int {
 	return c.frameFaults[frame]
 }
 
-// queueRetire marks slot s for evacuation at the next quiescent point.
-func (c *Controller) queueRetire(s int) {
-	c.retireQueued[s] = true
-	c.retireQueue = append(c.retireQueue, s)
-}
-
 // serviceQuiescent runs the deferred fault responses that need a quiescent
 // migration pipeline: queued slot retirements first, then a pending
 // degrade. Safe to call anywhere; it bails while a swap or rollback is in
@@ -135,15 +162,7 @@ func (c *Controller) execRetire(s int, cycle int64) {
 	}
 	at := cycle
 	for _, sc := range copies {
-		srcOn := c.regionOfMachine(sc.Src)
-		dstOn := c.regionOfMachine(sc.Dst)
-		at = c.reserve(srcOn, sc.Src, at, c.subDuration(srcOn, sc.Bytes, false))
-		at = c.reserve(dstOn, sc.Dst, at, c.subDuration(dstOn, sc.Bytes, false))
-		if c.cfg.Power != nil {
-			c.cfg.Power.Copy(srcOn, dstOn, sc.Bytes, false)
-		}
-		c.inst.copySubs.Inc()
-		c.inst.copyBytes.Add(sc.Bytes)
+		at, _ = c.runCopy(sc, at, false, fault.Degraded)
 	}
 	spare, _ := c.mig.Table().ExiledTo(uint64(s))
 	c.inst.spans.Span(obs.LaneFault, obs.SpanRetire, cycle, at, uint64(s), spare, 0)
@@ -155,87 +174,21 @@ func (c *Controller) execRetire(s int, cycle int64) {
 	c.audit(true)
 }
 
-// reserve books dur bus cycles for a bulk copy touching the given machine
-// address, on the channel its macro page belongs to.
-func (c *Controller) reserve(on bool, machine uint64, at, dur int64) int64 {
-	page := machine / c.cfg.Geometry.MacroPageSize
-	if on {
-		return c.onDev.ReserveBus(int(page%uint64(c.cfg.Geometry.OnChannels)), at, dur)
-	}
-	return c.offDev.ReserveBus(int(page%uint64(c.cfg.Geometry.OffChannels)), at, dur)
-}
-
-// deviceFault decides the response to one faulted program-access burst;
-// it is the scheduler's fault handler. The returned backoff applies only
-// when retry is true.
+// deviceFault is the schedulers' fault handler: it answers one faulted
+// program-access burst. A retried burst is served again after the returned
+// backoff; on every other rung the access delivers what the frame holds.
 func (c *Controller) deviceFault(r *sched.Request, region Region) (retry bool, backoff int64) {
-	c.inst.spans.Mark(obs.LaneFault, obs.MarkFault, c.now, uint64(fault.PointDevice), r.Addr, uint64(r.Attempts))
-	if c.degradedMode {
-		// Static fallback mode absorbs faults: deliver what the frame holds.
-		c.account(fault.PointDevice, fault.Degraded)
-		return false, 0
-	}
-	if region == OnPackage && c.mig != nil {
-		frame := r.Addr / c.cfg.Geometry.MacroPageSize
-		if c.frameFault(frame) >= c.inj.RetireAfter() && c.canRetire(int(frame)) {
-			// The frame keeps failing: deliver this access as-is and
-			// evacuate the slot at the next quiescent point.
-			c.account(fault.PointDevice, fault.Retired)
-			c.queueRetire(int(frame))
-			return false, 0
-		}
-	}
-	if c.overDegradeBudget() {
-		c.account(fault.PointDevice, fault.Degraded)
-		c.requestDegrade(c.now)
-		return false, 0
-	}
-	if r.Attempts < c.inj.RetryBudget() {
-		c.account(fault.PointDevice, fault.Retried)
+	switch c.ladder(fault.PointDevice, r.Addr, region == OnPackage, r.Attempts, fault.Degraded, c.now) {
+	case rungRetry:
 		backoff = c.retry.Delay(r.Attempts + 1)
 		c.inst.spans.Span(obs.LaneFault, obs.SpanBackoff, c.now, c.now+backoff, uint64(fault.PointDevice), uint64(r.Attempts+1), 0)
 		return true, backoff
+	case rungExhausted:
+		// One access spent its retries: the frame is not coming back, so
+		// stop trusting migration.
+		c.requestDegrade(c.now)
 	}
-	// Retry budget exhausted on a single access: the frame is not coming
-	// back. Deliver what it holds and stop trusting migration.
-	c.account(fault.PointDevice, fault.Degraded)
-	c.requestDegrade(c.now)
 	return false, 0
-}
-
-// copyFaultVerdict classifies one faulted copy leg. isWrite/dst/dstOn
-// describe the leg, attempts its prior faults, undo whether it belongs to a
-// rollback.
-func (c *Controller) copyFaultVerdict(isWrite bool, dst uint64, dstOn bool, attempts int, undo bool, cycle int64) copyVerdict {
-	if c.degradedMode {
-		c.account(fault.PointCopy, fault.Degraded)
-		return verdictAccept
-	}
-	if isWrite && dstOn && c.mig != nil {
-		frame := dst / c.cfg.Geometry.MacroPageSize
-		if c.frameFault(frame) >= c.inj.RetireAfter() && c.canRetire(int(frame)) {
-			c.account(fault.PointCopy, fault.Retired)
-			c.queueRetire(int(frame))
-			return verdictRetry // the leg still has to land; evacuation follows
-		}
-	}
-	if c.overDegradeBudget() {
-		c.account(fault.PointCopy, fault.Degraded)
-		c.requestDegrade(cycle)
-		return verdictRetry // let the swap finish, then freeze
-	}
-	if attempts < c.inj.RetryBudget() {
-		c.account(fault.PointCopy, fault.Retried)
-		return verdictRetry
-	}
-	if undo {
-		// The undo path itself is failing: restore the mapping without the
-		// remaining copies and freeze migration.
-		c.account(fault.PointCopy, fault.Degraded)
-		return verdictAbort
-	}
-	c.account(fault.PointCopy, fault.RolledBack)
-	return verdictAbort
 }
 
 // retryLeg reschedules a faulted bulk leg after its backoff, reusing the
@@ -256,71 +209,24 @@ func (c *Controller) retryLeg(meta *legMeta, j *sched.BulkJob) {
 	}
 }
 
-// stepFaultVerdict classifies one faulted step completion: redo re-runs the
-// step's copies, abort rolls the swap back, neither accepts the step.
-func (c *Controller) stepFaultVerdict(cycle int64) (redo, abort bool) {
-	if c.degradedMode {
-		c.account(fault.PointBulk, fault.Degraded)
-		return false, false
-	}
-	if c.overDegradeBudget() {
-		// Accept the completion, let the swap finish, then freeze.
-		c.account(fault.PointBulk, fault.Degraded)
-		c.requestDegrade(cycle)
-		return false, false
-	}
-	if c.stepAttempts < c.inj.RetryBudget() {
-		c.stepAttempts++
-		c.account(fault.PointBulk, fault.Retried)
-		return true, false
-	}
-	c.account(fault.PointBulk, fault.RolledBack)
-	return false, true
-}
-
-// stepFault handles a faulted step completion on the background (N-1/Live)
-// path; true means the normal StepDone chain must not run.
-func (c *Controller) stepFault(cycle int64) bool {
-	c.inst.spans.Mark(obs.LaneFault, obs.MarkFault, cycle, uint64(fault.PointBulk), 0, uint64(c.stepAttempts))
-	redo, abort := c.stepFaultVerdict(cycle)
-	if abort {
-		c.abortSwap(c.step, cycle)
-		return true
-	}
-	if !redo {
-		return false
-	}
-	subs, err := c.mig.RestartStep()
-	if err != nil {
-		c.fail(err)
-		c.step = nil
-		return true
-	}
-	c.issueStep(&stepState{subsLeft: len(subs)}, subs, cycle)
-	return true
-}
-
-// abortSwap starts the rollback of the in-flight swap: the current step's
-// remaining legs become stale, the migrator hands back the ordered undo
-// traffic, and the undo copies run one at a time (each is a mini-step, so
-// their strict ordering — later steps first — is preserved).
+// abortSwap starts the rollback of the in-flight background swap: the
+// current step's remaining legs become stale, the migrator hands back the
+// ordered undo traffic, and the undo copies run one at a time (each is a
+// mini-step, so their strict ordering — later steps first — is preserved).
 func (c *Controller) abortSwap(st *stepState, cycle int64) {
-	if st != nil {
-		st.aborted = true
-	}
 	var partial []int
 	if st != nil {
+		st.aborted = true
 		partial = st.completed
 	}
 	undo, err := c.mig.AbortSwap(partial)
+	c.step = nil
 	if err != nil {
 		c.fail(err)
-		c.step = nil
 		return
 	}
 	c.rollBegin = cycle
 	c.undoQueue = undo
-	c.step = nil
 	c.startNextUndo(cycle)
 }
 
@@ -328,7 +234,7 @@ func (c *Controller) abortSwap(st *stepState, cycle int64) {
 // none remain.
 func (c *Controller) startNextUndo(cycle int64) {
 	if len(c.undoQueue) == 0 {
-		c.finishRollback(cycle)
+		c.finishRollback(cycle, false)
 		return
 	}
 	next := c.undoQueue[:1]
@@ -336,107 +242,61 @@ func (c *Controller) startNextUndo(cycle int64) {
 	c.issueStep(&stepState{subsLeft: 1, undo: true}, next, cycle)
 }
 
-// finishRollback restores the swap-start table snapshot once the undo
-// traffic has drained.
-func (c *Controller) finishRollback(cycle int64) {
-	mru, _, _, _, _ := c.mig.CurrentPlan()
-	if err := c.mig.RollbackDone(); err != nil {
-		c.fail(err)
-		c.step = nil
-		return
-	}
-	c.step = nil
-	c.inst.spans.Span(obs.LaneFault, obs.SpanRollback, c.rollBegin, cycle, mru, 0, 0)
-	c.audit(true)
-	c.serviceQuiescent(cycle)
-}
-
-// abandonUndo gives up on a rollback whose own undo copies keep faulting:
-// the table snapshot is still restored (the mapping stays consistent; the
-// simulator does not model the unrecoverable data) and migration freezes.
-func (c *Controller) abandonUndo(cycle int64) {
-	if c.step != nil {
-		c.step.aborted = true
-	}
+// finishRollback ends the background rollback once its undo traffic has
+// drained, or abandons it, dropping the undo copies still queued, when one
+// of them spent its retries.
+func (c *Controller) finishRollback(cycle int64, abandoned bool) {
 	c.undoQueue = nil
-	mru, _, _, _, _ := c.mig.CurrentPlan()
-	if err := c.mig.RollbackDone(); err != nil {
+	c.step = nil
+	if err := c.endRollback(c.rollBegin, cycle, abandoned); err != nil {
 		c.fail(err)
-		c.step = nil
 		return
 	}
-	c.step = nil
-	c.inst.spans.Span(obs.LaneFault, obs.SpanRollback, c.rollBegin, cycle, mru, 1, 0)
-	c.requestDegrade(cycle)
-	c.audit(true)
 	c.serviceQuiescent(cycle)
 }
 
 // stalledRollback is the synchronous (N design) version of
 // abort-and-rollback: undo copies run back-to-back on their channels, each
-// still subject to copy-leg fault probes; if the undo itself exhausts its
-// retries the rollback is abandoned into degraded mode.
+// still probed; if one spends its retries the rollback is abandoned.
 func (c *Controller) stalledRollback(partial []int, cycle int64) error {
-	mru, _, _, _, _ := c.mig.CurrentPlan()
 	undo, err := c.mig.AbortSwap(partial)
 	if err != nil {
 		return err
 	}
-	at := cycle
-	abandoned := false
-undoLoop:
+	at, landed := cycle, true
 	for _, sc := range undo {
-		srcOn := c.regionOfMachine(sc.Src)
-		dstOn := c.regionOfMachine(sc.Dst)
-		rd := c.subDuration(srcOn, sc.Bytes, sc.Exchange)
-		wd := c.subDuration(dstOn, sc.Bytes, sc.Exchange)
-		attempts := 0
-		legStart := at
-		for {
-			readDone := c.reserve(srcOn, sc.Src, legStart, rd)
-			writeDone := c.reserve(dstOn, sc.Dst, readDone, wd)
-			at = writeDone
-			if c.inj == nil || !c.inj.Fault(fault.PointCopy) {
-				break
-			}
-			c.inst.spans.Mark(obs.LaneFault, obs.MarkFault, at, uint64(fault.PointCopy), sc.Dst, uint64(attempts))
-			switch c.copyFaultVerdict(true, sc.Dst, dstOn, attempts, true, at) {
-			case verdictAbort:
-				abandoned = true
-				break undoLoop
-			case verdictAccept:
-				break
-			case verdictRetry:
-				attempts++
-				legStart = at + c.retry.Delay(attempts)
-				c.inst.spans.Span(obs.LaneFault, obs.SpanBackoff, at, legStart, uint64(fault.PointCopy), uint64(attempts), 0)
-				continue
-			}
+		if at, landed = c.runCopy(sc, at, true, fault.Degraded); !landed {
 			break
 		}
-		c.inst.copySubs.Inc()
-		c.inst.copyBytes.Add(sc.Bytes)
 	}
-	if err := c.mig.RollbackDone(); err != nil {
+	if err := c.endRollback(cycle, at, !landed); err != nil {
 		return err
 	}
-	c.inst.spans.Span(obs.LaneFault, obs.SpanRollback, cycle, at, mru, boolToU64(abandoned), 0)
-	if abandoned {
-		c.requestDegrade(at)
-	}
-	c.audit(true)
-	if c.stallUntil < at {
-		c.stallUntil = at
-	}
+	c.stallUntil = max(c.stallUntil, at)
 	c.serviceQuiescent(at)
 	return c.firstErr
 }
 
-func boolToU64(b bool) uint64 {
-	if b {
-		return 1
+// endRollback books the end of every rollback, background or synchronous:
+// the swap-start table snapshot is restored and the rollback span recorded.
+// An abandoned rollback restores the snapshot too, since the mapping must
+// stay consistent and the simulator does not model the lost data, and then
+// freezes migration.
+func (c *Controller) endRollback(begin, end int64, abandoned bool) error {
+	mru, _, _, _, _ := c.mig.CurrentPlan()
+	if err := c.mig.RollbackDone(); err != nil {
+		return err
 	}
-	return 0
+	var marker uint64
+	if abandoned {
+		marker = 1
+	}
+	c.inst.spans.Span(obs.LaneFault, obs.SpanRollback, begin, end, mru, marker, 0)
+	if abandoned {
+		c.requestDegrade(end)
+	}
+	c.audit(true)
+	return nil
 }
 
 // FaultReport assembles the fault-handling ledger; nil when injection is
