@@ -32,11 +32,14 @@ race:
 	$(GO) test -race ./...
 
 # Randomized fault soak: the acceptance campaign (1e-4 fault rates over a
-# million-record audited run of each migration design) with a fresh PRNG
-# seed each invocation. Set SOAK_SEED / SOAK_RECORDS to reproduce a run.
+# million-record audited run of each migration design) plus the span
+# reconciliation's dense ladder campaign, which climbs to the upper rungs
+# (rollback, retirement, degraded mode) and checks that every landed copy
+# is counted, traced and metered once. Both draw a fresh PRNG seed each
+# invocation. Set SOAK_SEED / SOAK_RECORDS to reproduce a run.
 SOAK_SEED ?= $(shell date +%s)
 soak:
-	SOAK_SEED=$(SOAK_SEED) $(GO) test -run TestFaultSoak -count=1 -v .
+	SOAK_SEED=$(SOAK_SEED) $(GO) test -run 'TestFaultSoak|TestSpanTraceReconcilesFaultLedger' -count=1 -v .
 
 # Distributed-sweep chaos campaign: worker processes are SIGKILLed mid-cell
 # on a seeded schedule; the sweep must still finish with per-cell results
