@@ -52,6 +52,7 @@ import (
 	"heteromem/internal/experiments"
 	"heteromem/internal/flog"
 	"heteromem/internal/scheme"
+	"heteromem/internal/snap"
 )
 
 func main() {
@@ -771,7 +772,7 @@ func singleRun(ctx context.Context, w io.Writer, c singleRunConfig) error {
 	if c.CheckpointOut != "" {
 		ck.Every = c.CheckpointEvery
 		ck.Sink = func(data []byte, n uint64) error {
-			return writeFileAtomic(c.CheckpointOut, data)
+			return snap.WriteFile(c.CheckpointOut, data, 0o644)
 		}
 	}
 	if c.ResumeFrom != "" {
@@ -818,16 +819,6 @@ func singleRun(ctx context.Context, w io.Writer, c singleRunConfig) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(out)
-}
-
-// writeFileAtomic writes data to path via a temp file and rename, so a
-// crash mid-write never leaves a truncated checkpoint behind.
-func writeFileAtomic(path string, data []byte) error {
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
 }
 
 // printCheckpointInfo validates a checkpoint file and prints its metadata.

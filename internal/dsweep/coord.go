@@ -27,6 +27,7 @@ import (
 	"heteromem/internal/flog"
 	"heteromem/internal/obs"
 	"heteromem/internal/sim"
+	"heteromem/internal/snap"
 )
 
 // Coordinator defaults.
@@ -373,31 +374,13 @@ func (c *Coordinator) loadSpill(st *cellState) {
 	c.logf("dsweep: %s resumes from spilled checkpoint at record %d", st.label, info.Records)
 }
 
-// writeSpill durably persists a cell's latest checkpoint: temp file, fsync,
-// atomic rename. A crash mid-write leaves the previous spill intact.
+// writeSpill durably persists a cell's latest checkpoint. A crash
+// mid-write leaves the previous spill intact.
 func (c *Coordinator) writeSpill(st *cellState) {
 	if c.cfg.SpillDir == "" || st.checkpoint == nil {
 		return
 	}
-	path := c.spillPath(st.key)
-	tmp, err := os.CreateTemp(c.cfg.SpillDir, filepath.Base(path)+".tmp-*")
-	if err != nil {
-		c.logf("dsweep: spill %s: %v", st.label, err)
-		return
-	}
-	defer os.Remove(tmp.Name()) // no-op once renamed
-	if _, err := tmp.Write(st.checkpoint); err == nil {
-		err = tmp.Sync()
-	} else {
-		tmp.Close()
-		c.logf("dsweep: spill %s: %v", st.label, err)
-		return
-	}
-	if err := tmp.Close(); err != nil {
-		c.logf("dsweep: spill %s: %v", st.label, err)
-		return
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
+	if err := snap.WriteFile(c.spillPath(st.key), st.checkpoint, 0o600); err != nil {
 		c.logf("dsweep: spill %s: %v", st.label, err)
 	}
 }

@@ -6,12 +6,12 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 
 	"heteromem/internal/scheme"
 	"heteromem/internal/sim"
+	"heteromem/internal/snap"
 )
 
 // Manifest makes a sweep crash-resilient: every completed (workload, seed,
@@ -147,34 +147,14 @@ func OpenManifest(path string) (*Manifest, error) {
 }
 
 // compact rewrites the ledger with one line per cell, in first-completed
-// order, via tmp file + fsync + atomic rename, then swaps the open handle
-// to the new file (positioned at its end for appends).
+// order, via a durable atomic replace, then swaps the open handle to the new
+// file (positioned at its end for appends).
 func (m *Manifest) compact(order []string, lines map[string][]byte) error {
-	dir := filepath.Dir(m.path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(m.path)+".compact-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name()) // no-op once renamed
-	bw := bufio.NewWriter(tmp)
+	var data []byte
 	for _, key := range order {
-		if _, err := bw.Write(append(lines[key], '\n')); err != nil {
-			tmp.Close()
-			return err
-		}
+		data = append(append(data, lines[key]...), '\n')
 	}
-	if err := bw.Flush(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp.Name(), m.path); err != nil {
+	if err := snap.WriteFile(m.path, data, 0o644); err != nil {
 		return err
 	}
 	f, err := os.OpenFile(m.path, os.O_RDWR, 0o644)
@@ -244,8 +224,8 @@ func (m *Manifest) store(name string, seed int64, cfg sim.Config, res sim.Result
 	if err != nil {
 		return err
 	}
-	m.ran.Add(1)
-	return m.storeRaw(manifestKey(name, seed, cfg), name, seed, cfg, raw)
+	_, err = m.storeRaw(manifestKey(name, seed, cfg), name, seed, cfg, raw, false)
+	return err
 }
 
 // StoreRaw records a remotely completed cell: the coordinator passes the
@@ -253,20 +233,16 @@ func (m *Manifest) store(name string, seed int64, cfg sim.Config, res sim.Result
 // what the worker computed (byte-identical to a local run of the same
 // cell). Idempotent: a duplicate completion — a takeover race where the
 // presumed-dead worker finished after all — is dropped, keeping exactly one
-// line per cell. The first write wins.
+// line per cell. The first write wins. stored is false for a dropped
+// duplicate and for an append that failed.
 func (m *Manifest) StoreRaw(name string, seed int64, cfg sim.Config, result json.RawMessage) (stored bool, err error) {
-	key := manifestKey(name, seed, cfg)
-	m.mu.Lock()
-	_, dup := m.done[key]
-	m.mu.Unlock()
-	if dup {
-		return false, nil
-	}
-	m.ran.Add(1)
-	return true, m.storeRaw(key, name, seed, cfg, result)
+	return m.storeRaw(manifestKey(name, seed, cfg), name, seed, cfg, result, true)
 }
 
-func (m *Manifest) storeRaw(key, name string, seed int64, cfg sim.Config, raw json.RawMessage) error {
+// storeRaw appends one cell's line to the ledger and records the cell as
+// done only once the line is synced, so the ledger never reports a cell
+// that is not on disk. With dedup, a cell already recorded is dropped.
+func (m *Manifest) storeRaw(key, name string, seed int64, cfg sim.Config, raw json.RawMessage, dedup bool) (stored bool, err error) {
 	rec := manifestRecord{
 		Key:      key,
 		Workload: name,
@@ -283,18 +259,25 @@ func (m *Manifest) storeRaw(key, name string, seed int64, cfg sim.Config, raw js
 	}
 	line, err := json.Marshal(rec)
 	if err != nil {
-		return err
+		return false, err
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.done[rec.Key] = append(json.RawMessage(nil), raw...)
+	if _, dup := m.done[key]; dup && dedup {
+		return false, nil
+	}
+	m.ran.Add(1)
 	if _, err := m.w.Write(append(line, '\n')); err != nil {
-		return err
+		return false, err
 	}
 	if err := m.w.Flush(); err != nil {
-		return err
+		return false, err
 	}
-	return m.file.Sync()
+	if err := m.file.Sync(); err != nil {
+		return false, err
+	}
+	m.done[key] = append(json.RawMessage(nil), raw...)
+	return true, nil
 }
 
 // ManifestEntry is the read-only view of one completed sweep cell, as
