@@ -424,14 +424,6 @@ func (m *Migrator) CurrentPlan() (mru uint64, victim int, step, steps int, ok bo
 	return m.plan.MRU, m.plan.Victim, m.stepIdx, len(m.plan.Steps), true
 }
 
-// CurrentStep returns the in-flight step, if any.
-func (m *Migrator) CurrentStep() (Step, bool) {
-	if m.plan == nil || m.stepIdx >= len(m.plan.Steps) {
-		return Step{}, false
-	}
-	return m.plan.Steps[m.stepIdx], true
-}
-
 // startStep materializes the current step's sub-copies and arms the live
 // fill state when applicable. Copy order is critical-data-first for live
 // critical steps: start at the most recently touched sub-block and wrap.
@@ -540,9 +532,6 @@ func (m *Migrator) repinSlots() {
 func (m *Migrator) CanSwap() bool {
 	return m.opt.Design == DesignN || m.table.EmptyRow() >= 0
 }
-
-// RollingBack reports whether the in-flight swap is being unwound.
-func (m *Migrator) RollingBack() bool { return m.rollback }
 
 // Degraded reports whether migration has been permanently frozen.
 func (m *Migrator) Degraded() bool { return m.degraded }

@@ -204,9 +204,6 @@ func (d *Device) SetFaultHook(h func(loc Location, write bool, at int64) bool) {
 	d.faultHook = h
 }
 
-// FaultedBursts returns how many serviced bursts the fault hook failed.
-func (d *Device) FaultedBursts() uint64 { return d.faultedBursts }
-
 // ReserveBus blocks channel ch's data bus for dur cycles starting no
 // earlier than `at`, returning the completion cycle. Used for background
 // bulk transfers (migration sub-block copies) whose per-burst detail is

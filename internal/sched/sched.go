@@ -448,10 +448,6 @@ func (s *Scheduler) SetObs(grants, stolen *obs.Counter) {
 	s.obsStolen = stolen
 }
 
-// AgingGrants returns how many times the aging backstop promoted a starved
-// background job ahead of foreground traffic.
-func (s *Scheduler) AgingGrants() uint64 { return s.agingGrants }
-
 // Stats returns (requests served, bulk jobs served, mean queuing delay).
 func (s *Scheduler) Stats() (served, bulkServed uint64, meanQueue float64) {
 	if s.served > 0 {

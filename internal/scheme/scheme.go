@@ -178,10 +178,6 @@ func (sp Spec) Validate() error {
 // a cache (no migration engine at all).
 func (sp Spec) IsCache() bool { return sp.Kind == KindAlloy || sp.Kind == KindCacheMode }
 
-// UsesMigration reports whether the scheme hosts the migration engine
-// (and therefore honors -design, -interval, and the fault/audit machinery).
-func (sp Spec) UsesMigration() bool { return sp.Kind == KindMigrate || sp.Kind == KindMemCache }
-
 // Stats counts scheme-level events. All fields are cumulative.
 type Stats struct {
 	Accesses   uint64 // lookups routed through the cache engine
