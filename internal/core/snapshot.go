@@ -127,9 +127,9 @@ func (c *SubCopy) Snap(s *snap.Stream) {
 
 // Snap carries the migrator's dynamic state: the table, the hotness
 // trackers, the epoch counters, the in-flight swap (rebuilt on restore from
-// the swap-start snapshot, since plan steps carry closures), the live-fill
-// state, and the activity counters. Options and geometry are construction
-// inputs.
+// the swap-start snapshot, which keeps the pinned checkpoint format free of
+// plan steps), the live-fill state, and the activity counters. Options and
+// geometry are construction inputs.
 func (m *Migrator) Snap(s *snap.Stream) {
 	m.table.Snap(s)
 	m.mq.Snap(s)
@@ -223,11 +223,7 @@ func (m *Migrator) snapSwap(s *snap.Stream) {
 	if !s.Reading() || s.Err() != nil {
 		return
 	}
-	build := BuildPlanN1
-	if m.opt.Design == DesignN {
-		build = BuildPlanN
-	}
-	plan, err := build(m.table.rewoundTo(ts), mru, victim)
+	plan, err := m.buildPlan(m.table.rewoundTo(ts), mru, victim)
 	switch {
 	case err != nil:
 		s.Invalid("cannot rebuild swap plan for page %d, victim %d: %v", mru, victim, err)

@@ -212,8 +212,8 @@ func TestTableRandomSwapsKeepInvariants(t *testing.T) {
 				t.Fatalf("iter %d: step %q copies from machine page %d which holds no data", iter, st.Label, st.Src)
 			}
 			data[st.Dst] = pg
-			if err := st.mutate(tb); err != nil {
-				t.Fatalf("iter %d: step %q mutate: %v", iter, st.Label, err)
+			if err := st.apply(tb); err != nil {
+				t.Fatalf("iter %d: step %q apply: %v", iter, st.Label, err)
 			}
 		}
 		if err := tb.CheckInvariants(); err != nil {
@@ -257,7 +257,7 @@ func TestTableTranslationBijective(t *testing.T) {
 				return false
 			}
 			for _, st := range plan.Steps {
-				if err := st.mutate(tb); err != nil {
+				if err := st.apply(tb); err != nil {
 					return false
 				}
 			}
