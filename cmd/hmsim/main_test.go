@@ -28,12 +28,8 @@ import (
 // background-copy traffic.
 func TestSingleRunMetricsJSON(t *testing.T) {
 	var buf bytes.Buffer
-	live, ok := parseDesign("live")
-	if !ok {
-		t.Fatal("parseDesign rejected \"live\"")
-	}
 	err := singleRun(context.Background(), &buf, singleRunConfig{
-		Workload: "pgbench", Design: live, Interval: 1000,
+		Workload: "pgbench", Design: "live", Interval: 1000,
 		Records: 200_000, Seed: 1,
 		Metrics: true, Audit: true,
 	})
@@ -95,10 +91,9 @@ func TestSingleRunTraceAndSeriesOut(t *testing.T) {
 	dir := t.TempDir()
 	tracePath := filepath.Join(dir, "trace.json")
 	seriesPath := filepath.Join(dir, "series.jsonl")
-	live, _ := parseDesign("live")
 	var buf bytes.Buffer
 	err := singleRun(context.Background(), &buf, singleRunConfig{
-		Workload: "pgbench", Design: live, Interval: 1000,
+		Workload: "pgbench", Design: "live", Interval: 1000,
 		Records: 200_000, Seed: 1,
 		TraceOut: tracePath, SeriesOut: seriesPath,
 	})
@@ -246,29 +241,13 @@ func TestRunExperimentsTelemetryShutdownOnCancel(t *testing.T) {
 	}
 }
 
-// TestParseDesign covers the flag-validation path.
-func TestParseDesign(t *testing.T) {
-	if _, ok := parseDesign("bogus"); ok {
-		t.Fatal("bogus design accepted")
-	}
-	for _, name := range []string{"n", "n-1", "n1", "live", "none", "static", "LIVE"} {
-		if _, ok := parseDesign(name); !ok {
-			t.Errorf("design %q rejected", name)
-		}
-	}
-	if d, _ := parseDesign("none"); d.migrate {
-		t.Error("design none should not migrate")
-	}
-}
-
 // TestSingleRunFaultInjection pins the fault-injection contract end to end:
 // a seeded fault campaign over an audited run must finish without error and
 // report a balanced disposition ledger in the JSON output.
 func TestSingleRunFaultInjection(t *testing.T) {
-	live, _ := parseDesign("live")
 	var buf bytes.Buffer
 	err := singleRun(context.Background(), &buf, singleRunConfig{
-		Workload: "pgbench", Design: live, Interval: 1000,
+		Workload: "pgbench", Design: "live", Interval: 1000,
 		Records: 100_000, Seed: 1, Audit: true,
 		Fault: heteromem.FaultConfig{Seed: 7, DeviceRate: 1e-4, CopyRate: 1e-4, BulkRate: 1e-4},
 	})
@@ -524,9 +503,8 @@ func TestCoordinateModeEndToEnd(t *testing.T) {
 func TestSingleRunCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	live, _ := parseDesign("live")
 	err := singleRun(ctx, io.Discard, singleRunConfig{
-		Workload: "pgbench", Design: live, Interval: 1000,
+		Workload: "pgbench", Design: "live", Interval: 1000,
 		Records: 200_000, Seed: 1,
 	})
 	if !errors.Is(err, context.Canceled) {
@@ -539,7 +517,7 @@ func TestSingleRunCancelled(t *testing.T) {
 func TestSingleRunScheme(t *testing.T) {
 	var buf bytes.Buffer
 	err := singleRun(context.Background(), &buf, singleRunConfig{
-		Workload: "pgbench", Design: designChoice{name: "none"}, Scheme: "alloy",
+		Workload: "pgbench", Design: "none", Scheme: "alloy",
 		Records: 200_000, Seed: 1,
 	})
 	if err != nil {

@@ -217,7 +217,7 @@ func New(c Config) (*System, error) {
 			Design:       c.Migration.Design,
 			SwapInterval: c.Migration.SwapInterval,
 		}
-		scfg.OSAssisted = c.OSAssisted || scfg.Geometry.MacroPageSize < 1*MiB
+		scfg.OSAssisted = c.OSAssisted || scfg.Geometry.MacroPageSize < core.PureHardwareMinPage
 	}
 	sp, err := scheme.Parse(c.Scheme)
 	if err != nil {

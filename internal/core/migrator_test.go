@@ -276,3 +276,23 @@ func TestMigratorVictimPolicies(t *testing.T) {
 		}
 	}
 }
+
+// TestParseDesign covers the one design vocabulary the CLIs and the sweep
+// cells share.
+func TestParseDesign(t *testing.T) {
+	for _, name := range []string{"bogus", "", "n-2"} {
+		if _, _, err := ParseDesign(name); err == nil {
+			t.Errorf("design %q accepted", name)
+		}
+	}
+	for name, want := range map[string]Design{"n": DesignN, "N": DesignN, "n-1": DesignN1, "n1": DesignN1, "live": DesignLive, "LIVE": DesignLive} {
+		if d, migrates, err := ParseDesign(name); err != nil || !migrates || d != want {
+			t.Errorf("ParseDesign(%q) = %v, %v, %v; want %v, true, nil", name, d, migrates, err, want)
+		}
+	}
+	for _, name := range []string{"none", "static", "None"} {
+		if _, migrates, err := ParseDesign(name); err != nil || migrates {
+			t.Errorf("ParseDesign(%q): migrates %v, err %v; want a design that does not migrate", name, migrates, err)
+		}
+	}
+}

@@ -495,6 +495,10 @@ func (t *Table) CheckInvariants() error {
 	return nil
 }
 
+// PureHardwareMinPage is the paper's feasibility split (Section III-B):
+// pure-hardware migration for macro pages of 1 MB or more, OS-assisted below.
+const PureHardwareMinPage = 1 * addr.MiB
+
 // HardwareBits returns the pure-hardware cost in bits of managing
 // onPkgBytes of on-package memory at macroPage granularity with subBlock
 // live-migration chunks, reproducing the paper's accounting (Fig. 10 and

@@ -2,7 +2,6 @@ package dsweep
 
 import (
 	"fmt"
-	"strings"
 
 	"heteromem/internal/core"
 	"heteromem/internal/experiments"
@@ -34,22 +33,6 @@ type CellSpec struct {
 	Scheme string `json:"scheme,omitempty"`
 }
 
-// parseDesign maps a CellSpec.Design value to a migration design.
-func parseDesign(s string) (d core.Design, migrate, ok bool) {
-	switch strings.ToLower(s) {
-	case "n":
-		return core.DesignN, true, true
-	case "n-1", "n1":
-		return core.DesignN1, true, true
-	case "live":
-		return core.DesignLive, true, true
-	case "none", "static", "":
-		return 0, false, true
-	default:
-		return 0, false, false
-	}
-}
-
 // Validate rejects specs that could never simulate, so a bad cell fails at
 // coordinator construction instead of burning through its lease attempts.
 func (c CellSpec) Validate() error {
@@ -70,8 +53,8 @@ func (c CellSpec) Validate() error {
 // mirroring the experiment drivers' construction (paper defaults, the
 // OS-assisted feasibility split below 1 MB pages).
 func (c CellSpec) Config() (sim.Config, error) {
-	d, migrate, ok := parseDesign(c.Design)
-	if !ok {
+	d, migrate, err := core.ParseDesign(c.Design)
+	if err != nil && c.Design != "" { // an absent design means none
 		return sim.Config{}, fmt.Errorf("dsweep: cell %s: unknown design %q", c.Workload, c.Design)
 	}
 	sp, err := scheme.Parse(c.Scheme)
@@ -95,7 +78,7 @@ func (c CellSpec) Config() (sim.Config, error) {
 		}
 		cfg.Migration = &core.Options{Design: d, SwapInterval: c.Interval}
 	}
-	cfg.OSAssisted = migrate && cfg.Geometry.MacroPageSize < experiments.PureHardwareMinPage
+	cfg.OSAssisted = migrate && cfg.Geometry.MacroPageSize < core.PureHardwareMinPage
 	cfg.MaxRecords = c.Records
 	cfg.Warmup = c.Warmup
 	cfg.Channels = c.Channels

@@ -96,10 +96,6 @@ var Granularities = []uint64{4 * addr.KiB, 16 * addr.KiB, 64 * addr.KiB, 256 * a
 // (Section IV: "after each 1,000, 10,000, and 100,000 memory accesses").
 var Intervals = []uint64{1000, 10000, 100000}
 
-// PureHardwareMinPage is the paper's feasibility split: pure-hardware
-// migration for granularity >= 1 MB, OS-assisted below it (Section III-B).
-const PureHardwareMinPage = 1 * addr.MiB
-
 // runTrace simulates one (workload, configuration) pair.
 func runTrace(name string, seed int64, cfg sim.Config) (sim.Result, error) {
 	gen, err := workload.NewMemory(name, seed)
@@ -166,7 +162,7 @@ func traceConfig(pageSize uint64, mig *core.Options, records, warmup uint64) sim
 	cfg := sim.Default()
 	cfg.Geometry.MacroPageSize = pageSize
 	cfg.Migration = mig
-	cfg.OSAssisted = mig != nil && pageSize < PureHardwareMinPage
+	cfg.OSAssisted = mig != nil && pageSize < core.PureHardwareMinPage
 	cfg.MaxRecords = records
 	cfg.Warmup = warmup
 	return cfg

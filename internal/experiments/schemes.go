@@ -46,11 +46,11 @@ var SchemeVariants = []SchemeVariant{
 // variantConfig builds the simulation configuration for one variant.
 func variantConfig(v SchemeVariant, records, warmup uint64) (sim.Config, error) {
 	var mig *core.Options
-	if v.Design != "" {
-		d, ok := map[string]core.Design{"n": core.DesignN, "n-1": core.DesignN1, "live": core.DesignLive}[v.Design]
-		if !ok {
-			return sim.Config{}, fmt.Errorf("experiments: scheme variant %s: unknown design %q", v.Scheme, v.Design)
-		}
+	d, migrates, err := core.ParseDesign(v.Design)
+	if err != nil && v.Design != "" { // pure cache schemes name no design
+		return sim.Config{}, fmt.Errorf("experiments: scheme variant %s: unknown design %q", v.Scheme, v.Design)
+	}
+	if migrates {
 		mig = &core.Options{Design: d, SwapInterval: v.Interval}
 	}
 	cfg := traceConfig(sim.Default().Geometry.MacroPageSize, mig, records, warmup)
