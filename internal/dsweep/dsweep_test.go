@@ -191,6 +191,14 @@ func TestCellSpecValidate(t *testing.T) {
 	if err := good.Validate(); err != nil {
 		t.Errorf("good spec rejected: %v", err)
 	}
+	// An absent design reads as none.
+	absent := CellSpec{Workload: "pgbench", Seed: 1, Records: 10}
+	none := CellSpec{Workload: "pgbench", Seed: 1, Design: "none", Records: 10}
+	if ak, err := absent.Key(); err != nil {
+		t.Errorf("absent design rejected: %v", err)
+	} else if nk, _ := none.Key(); ak != nk {
+		t.Errorf("absent design keys %s, none keys %s", ak, nk)
+	}
 }
 
 // TestCellSpecSchemeCompat pins the v1→v2 wire compatibility: a cell line
