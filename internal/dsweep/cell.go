@@ -3,9 +3,7 @@ package dsweep
 import (
 	"fmt"
 
-	"heteromem/internal/core"
 	"heteromem/internal/experiments"
-	"heteromem/internal/scheme"
 	"heteromem/internal/sim"
 	"heteromem/internal/workload"
 )
@@ -49,42 +47,15 @@ func (c CellSpec) Validate() error {
 	return err
 }
 
-// Config deterministically reconstructs the cell's simulation configuration,
-// mirroring the experiment drivers' construction (paper defaults, the
-// OS-assisted feasibility split below 1 MB pages).
+// Config deterministically reconstructs the cell's simulation
+// configuration: the experiment drivers' experiments.CellConfig, sharded
+// over the cell's channel count.
 func (c CellSpec) Config() (sim.Config, error) {
-	d, migrate, err := core.ParseDesign(c.Design)
-	if err != nil && c.Design != "" { // an absent design means none
-		return sim.Config{}, fmt.Errorf("dsweep: cell %s: unknown design %q", c.Workload, c.Design)
-	}
-	sp, err := scheme.Parse(c.Scheme)
+	cfg, err := experiments.CellConfig(c.Design, c.Scheme, c.PageSize, c.Interval, c.Records, c.Warmup)
 	if err != nil {
 		return sim.Config{}, fmt.Errorf("dsweep: cell %s: %w", c.Workload, err)
 	}
-	if sp.IsCache() && migrate {
-		return sim.Config{}, fmt.Errorf("dsweep: cell %s: scheme %s takes no migration design (got %q)", c.Workload, sp, c.Design)
-	}
-	if sp.Kind == scheme.KindMemCache && !migrate {
-		return sim.Config{}, fmt.Errorf("dsweep: cell %s: scheme %s needs a migration design", c.Workload, sp)
-	}
-	cfg := sim.Default()
-	cfg.Scheme = sp
-	if c.PageSize > 0 {
-		cfg.Geometry.MacroPageSize = c.PageSize
-	}
-	if migrate {
-		if c.Interval == 0 {
-			return sim.Config{}, fmt.Errorf("dsweep: cell %s: design %q needs a swap interval", c.Workload, c.Design)
-		}
-		cfg.Migration = &core.Options{Design: d, SwapInterval: c.Interval}
-	}
-	cfg.OSAssisted = migrate && cfg.Geometry.MacroPageSize < core.PureHardwareMinPage
-	cfg.MaxRecords = c.Records
-	cfg.Warmup = c.Warmup
 	cfg.Channels = c.Channels
-	if err := cfg.Geometry.Validate(); err != nil {
-		return sim.Config{}, fmt.Errorf("dsweep: cell %s: %w", c.Workload, err)
-	}
 	return cfg, nil
 }
 

@@ -389,14 +389,15 @@ func TestManifestWithTelemetry(t *testing.T) {
 	p := manifestParams(man)
 	p.Telemetry = NewTelemetry()
 	cfg := traceConfig(Granularities[len(Granularities)-1], nil, 20_000, 5_000)
-	first, err := p.runTrace("pgbench", cfg)
+	packed := newPackedTraces()
+	first, err := p.runTrace(packed, "pgbench", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if first.Metrics == nil {
 		t.Fatal("telemetry run did not collect metrics")
 	}
-	again, err := p.runTrace("pgbench", cfg)
+	again, err := p.runTrace(packed, "pgbench", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

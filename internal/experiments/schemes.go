@@ -5,9 +5,7 @@ import (
 	"fmt"
 	"io"
 
-	"heteromem/internal/core"
 	"heteromem/internal/cpu"
-	"heteromem/internal/scheme"
 	"heteromem/internal/sim"
 	"heteromem/internal/workload"
 )
@@ -43,25 +41,6 @@ var SchemeVariants = []SchemeVariant{
 	{Scheme: "memcache", Design: "live", Interval: 1000},
 }
 
-// variantConfig builds the simulation configuration for one variant.
-func variantConfig(v SchemeVariant, records, warmup uint64) (sim.Config, error) {
-	var mig *core.Options
-	d, migrates, err := core.ParseDesign(v.Design)
-	if err != nil && v.Design != "" { // pure cache schemes name no design
-		return sim.Config{}, fmt.Errorf("experiments: scheme variant %s: unknown design %q", v.Scheme, v.Design)
-	}
-	if migrates {
-		mig = &core.Options{Design: d, SwapInterval: v.Interval}
-	}
-	cfg := traceConfig(sim.Default().Geometry.MacroPageSize, mig, records, warmup)
-	sp, err := scheme.Parse(v.Scheme)
-	if err != nil {
-		return sim.Config{}, err
-	}
-	cfg.Scheme = sp
-	return cfg, nil
-}
-
 // SchemeCell is one (workload, variant) outcome of the comparison.
 type SchemeCell struct {
 	Variant       SchemeVariant
@@ -86,73 +65,56 @@ type SchemesRow struct {
 // scheme variant, and derives the paper's η effectiveness (vs static) plus
 // an estimated IPC per cell.
 func SchemesData(ctx context.Context, p Params) ([]SchemesRow, error) {
-	p.packed = newPackedTraces() // one packed trace per workload, replayed by every cell
-	const defRecords = 2_000_000
-	records := p.records(defRecords)
+	records := p.records(2_000_000)
 	warm := p.warmup(records)
 	names := p.workloads(workload.Names())
 	model := cpu.DefaultModel()
 
-	type job struct {
-		wl      int
-		variant int // -1 marks the static baseline run
-	}
-	var jobs []job
-	for wl := range names {
-		jobs = append(jobs, job{wl: wl, variant: -1})
-		for v := range SchemeVariants {
-			jobs = append(jobs, job{wl: wl, variant: v})
-		}
-	}
-	results := make([]sim.Result, len(jobs))
-	err := p.forEach(ctx, len(jobs), p.Parallelism, func(i int) error {
-		j := jobs[i]
-		var cfg sim.Config
-		var err error
-		if j.variant < 0 {
-			cfg = traceConfig(sim.Default().Geometry.MacroPageSize, nil, records, warm)
-		} else if cfg, err = variantConfig(SchemeVariants[j.variant], records, warm); err != nil {
-			return err
-		}
-		res, err := p.runTrace(names[j.wl], cfg)
+	// Per workload: the static baseline, then one run per variant.
+	cfgs := []sim.Config{traceConfig(sim.Default().Geometry.MacroPageSize, nil, records, warm)}
+	for _, v := range SchemeVariants {
+		cfg, err := CellConfig(v.Design, v.Scheme, 0, v.Interval, records, warm)
 		if err != nil {
-			return fmt.Errorf("schemes %s: %w", names[j.wl], err)
+			return nil, fmt.Errorf("experiments: scheme variant %s: %w", v.Label(), err)
 		}
-		results[i] = res
-		return nil
-	})
+		cfgs = append(cfgs, cfg)
+	}
+	var cells []cell
+	for _, name := range names {
+		for _, cfg := range cfgs {
+			cells = append(cells, cell{name, cfg})
+		}
+	}
+	results, err := p.sweep(ctx, cells)
 	if err != nil {
 		return nil, err
 	}
 
 	out := make([]SchemesRow, len(names))
-	for i, j := range jobs {
-		res := results[i]
-		row := &out[j.wl]
-		row.Workload = names[j.wl]
-		if j.variant < 0 {
-			row.StaticLat = res.MeanDRAMLatency
-			row.StaticIPC = model.EstimateIPC(res.MeanLatency)
-			continue
+	for wl, name := range names {
+		runs := results[wl*len(cfgs) : (wl+1)*len(cfgs)]
+		static := runs[0]
+		row := SchemesRow{
+			Workload:  name,
+			StaticLat: static.MeanDRAMLatency,
+			StaticIPC: model.EstimateIPC(static.MeanLatency),
 		}
-		cell := SchemeCell{
-			Variant:     SchemeVariants[j.variant],
-			MeanLat:     res.MeanLatency,
-			MeanDRAMLat: res.MeanDRAMLatency,
-			CoreLat:     res.Report.MeanCoreLat,
-			OnShare:     res.Report.OnShare,
-			IPC:         model.EstimateIPC(res.MeanLatency),
+		for v, res := range runs[1:] {
+			sc := SchemeCell{
+				Variant:     SchemeVariants[v],
+				MeanLat:     res.MeanLatency,
+				MeanDRAMLat: res.MeanDRAMLatency,
+				CoreLat:     res.Report.MeanCoreLat,
+				OnShare:     res.Report.OnShare,
+				IPC:         model.EstimateIPC(res.MeanLatency),
+			}
+			if res.Report.Scheme != nil {
+				sc.HitRate = res.Report.Scheme.HitRate
+			}
+			sc.Effectiveness = sim.Effectiveness(row.StaticLat, sc.MeanDRAMLat, sc.CoreLat)
+			row.Cells = append(row.Cells, sc)
 		}
-		if res.Report.Scheme != nil {
-			cell.HitRate = res.Report.Scheme.HitRate
-		}
-		row.Cells = append(row.Cells, cell)
-	}
-	for i := range out {
-		for c := range out[i].Cells {
-			cell := &out[i].Cells[c]
-			cell.Effectiveness = sim.Effectiveness(out[i].StaticLat, cell.MeanDRAMLat, cell.CoreLat)
-		}
+		out[wl] = row
 	}
 	return out, nil
 }

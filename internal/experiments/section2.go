@@ -173,22 +173,9 @@ func Fig4(ctx context.Context, w io.Writer, p Params) error {
 		header = append(header, sizeLabel(c))
 	}
 	t := newTable(header...)
-	row := []string{}
-	cur := ""
-	flush := func() {
-		if cur != "" {
-			t.AddRow(append([]string{cur}, row...)...)
-		}
-		row = row[:0]
-	}
-	for _, pt := range points {
-		if pt.Workload != cur {
-			flush()
-			cur = pt.Workload
-		}
-		row = append(row, fmt.Sprintf("%.1f%%", pt.MissRate*100))
-	}
-	flush()
+	addWorkloadRows(t, points,
+		func(pt Fig4Point) string { return pt.Workload },
+		func(pt Fig4Point) string { return fmt.Sprintf("%.1f%%", pt.MissRate*100) })
 	fmt.Fprintln(w, "Fig. 4: last-level cache miss rate vs LLC capacity")
 	_, err = io.WriteString(w, t.String())
 	return err

@@ -68,41 +68,27 @@ type Fig11Point struct {
 // Fig11Data runs the design comparison of Fig. 11 for one swap interval:
 // N vs N-1 vs Live Migration across migration granularities.
 func Fig11Data(ctx context.Context, p Params, interval uint64) ([]Fig11Point, error) {
-	p.packed = newPackedTraces() // one packed trace per workload, replayed by every cell
-	const defRecords = 1_500_000
-	records := p.records(defRecords)
+	records := p.records(1_500_000)
 	warm := p.warmup(records)
-	type job struct {
-		name   string
-		page   uint64
-		design core.Design
-	}
-	var jobs []job
+	var cells []cell
+	var out []Fig11Point
 	for _, name := range p.workloads(workload.Names()) {
 		for _, page := range Granularities {
 			for _, design := range designList {
-				jobs = append(jobs, job{name, page, design})
+				mig := &core.Options{Design: design, SwapInterval: interval}
+				cells = append(cells, cell{name, traceConfig(page, mig, records, warm)})
+				out = append(out, Fig11Point{Workload: name, PageSize: page, Design: design, Interval: interval})
 			}
 		}
 	}
-	out := make([]Fig11Point, len(jobs))
-	err := p.forEach(ctx, len(jobs), p.Parallelism, func(i int) error {
-		j := jobs[i]
-		mig := &core.Options{Design: j.design, SwapInterval: interval}
-		res, err := p.runTrace(j.name, traceConfig(j.page, mig, records, warm))
-		if err != nil {
-			return fmt.Errorf("fig11 %s/%s/%s: %w", j.name, sizeLabel(j.page), j.design, err)
-		}
-		out[i] = Fig11Point{
-			Workload: j.name, PageSize: j.page, Design: j.design, Interval: interval,
-			MeanLatency: res.MeanDRAMLatency,
-			OnShare:     res.Report.OnShare,
-			Swaps:       res.Report.Migration.SwapsCompleted,
-		}
-		return nil
-	})
+	results, err := p.sweep(ctx, cells)
 	if err != nil {
 		return nil, err
+	}
+	for i, res := range results {
+		out[i].MeanLatency = res.MeanDRAMLatency
+		out[i].OnShare = res.Report.OnShare
+		out[i].Swaps = res.Report.Migration.SwapsCompleted
 	}
 	return out, nil
 }
@@ -114,37 +100,22 @@ func Fig11(ctx context.Context, w io.Writer, p Params, interval uint64) error {
 	if err != nil {
 		return err
 	}
-	t := newTable("Workload", "Granularity", "N", "N-1", "Live")
-	byKey := map[string]map[core.Design]float64{}
-	var order []string
-	for _, pt := range points {
-		k := pt.Workload + "\x00" + sizeLabel(pt.PageSize)
-		if byKey[k] == nil {
-			byKey[k] = map[core.Design]float64{}
-			order = append(order, k)
-		}
-		byKey[k][pt.Design] = pt.MeanLatency
+	header := []string{"Workload", "Granularity"}
+	for _, d := range designList {
+		header = append(header, d.String())
 	}
-	for _, k := range order {
-		m := byKey[k]
-		wl, gran := splitKey(k)
-		t.AddRow(wl, gran,
-			fmt.Sprintf("%.1f", m[core.DesignN]),
-			fmt.Sprintf("%.1f", m[core.DesignN1]),
-			fmt.Sprintf("%.1f", m[core.DesignLive]))
+	t := newTable(header...)
+	// Each (workload, granularity) is one run of designList points.
+	for i := 0; i < len(points); i += len(designList) {
+		row := []string{points[i].Workload, sizeLabel(points[i].PageSize)}
+		for _, pt := range points[i : i+len(designList)] {
+			row = append(row, fmt.Sprintf("%.1f", pt.MeanLatency))
+		}
+		t.AddRow(row...)
 	}
 	fmt.Fprintf(w, "Fig. 11 (swap interval = %d accesses): average memory access latency (cycles)\n", interval)
 	_, err = io.WriteString(w, t.String())
 	return err
-}
-
-func splitKey(k string) (string, string) {
-	for i := 0; i < len(k); i++ {
-		if k[i] == 0 {
-			return k[:i], k[i+1:]
-		}
-	}
-	return k, ""
 }
 
 // Fig1214Point is one (workload, granularity) live-migration latency
@@ -159,36 +130,23 @@ type Fig1214Point struct {
 // Fig1214Data runs live migration across granularities for one interval
 // (Fig. 12: 1K, Fig. 13: 10K, Fig. 14: 100K).
 func Fig1214Data(ctx context.Context, p Params, interval uint64) ([]Fig1214Point, error) {
-	p.packed = newPackedTraces() // one packed trace per workload, replayed by every cell
-	const defRecords = 2_000_000
-	records := p.records(defRecords)
+	records := p.records(2_000_000)
 	warm := p.warmup(records)
-	type job struct {
-		name string
-		page uint64
-	}
-	var jobs []job
+	var cells []cell
+	var out []Fig1214Point
 	for _, name := range p.workloads(workload.Names()) {
 		for _, page := range Granularities {
-			jobs = append(jobs, job{name, page})
+			mig := &core.Options{Design: core.DesignLive, SwapInterval: interval}
+			cells = append(cells, cell{name, traceConfig(page, mig, records, warm)})
+			out = append(out, Fig1214Point{Workload: name, PageSize: page})
 		}
 	}
-	out := make([]Fig1214Point, len(jobs))
-	err := p.forEach(ctx, len(jobs), p.Parallelism, func(i int) error {
-		j := jobs[i]
-		mig := &core.Options{Design: core.DesignLive, SwapInterval: interval}
-		res, err := p.runTrace(j.name, traceConfig(j.page, mig, records, warm))
-		if err != nil {
-			return fmt.Errorf("fig12-14 %s/%s: %w", j.name, sizeLabel(j.page), err)
-		}
-		out[i] = Fig1214Point{
-			Workload: j.name, PageSize: j.page,
-			MeanLatency: res.MeanDRAMLatency, OnShare: res.Report.OnShare,
-		}
-		return nil
-	})
+	results, err := p.sweep(ctx, cells)
 	if err != nil {
 		return nil, err
+	}
+	for i, res := range results {
+		out[i].MeanLatency, out[i].OnShare = res.MeanDRAMLatency, res.Report.OnShare
 	}
 	return out, nil
 }
@@ -204,22 +162,9 @@ func Fig1214(ctx context.Context, w io.Writer, p Params, interval uint64) error 
 		header = append(header, sizeLabel(g))
 	}
 	t := newTable(header...)
-	var row []string
-	cur := ""
-	flush := func() {
-		if cur != "" {
-			t.AddRow(append([]string{cur}, row...)...)
-		}
-		row = nil
-	}
-	for _, pt := range points {
-		if pt.Workload != cur {
-			flush()
-			cur = pt.Workload
-		}
-		row = append(row, fmt.Sprintf("%.1f", pt.MeanLatency))
-	}
-	flush()
+	addWorkloadRows(t, points,
+		func(pt Fig1214Point) string { return pt.Workload },
+		func(pt Fig1214Point) string { return fmt.Sprintf("%.1f", pt.MeanLatency) })
 	figNo := map[uint64]int{1000: 12, 10000: 13, 100000: 14}[interval]
 	fmt.Fprintf(w, "Fig. %d: average memory latency, live migration (swap interval = %d accesses)\n", figNo, interval)
 	_, err = io.WriteString(w, t.String())
@@ -240,72 +185,51 @@ type Table4Row struct {
 // Table4Data computes the per-workload effectiveness (Table IV): the static
 // baseline vs the best (granularity x interval) live-migration point.
 func Table4Data(ctx context.Context, p Params) ([]Table4Row, error) {
-	p.packed = newPackedTraces() // one packed trace per workload, replayed by every cell
-	const defRecords = 4_000_000
-	records := p.records(defRecords)
+	records := p.records(4_000_000)
 	warm := p.warmup(records)
 	names := p.workloads(workload.Names())
-
-	type job struct {
-		wl       int
-		page     uint64
-		interval uint64 // 0 marks the static baseline run
-	}
-	var jobs []job
-	for wl := range names {
-		jobs = append(jobs, job{wl: wl})
+	// Per workload: the static baseline (its granularity is irrelevant),
+	// then every live-migration point.
+	var cells []cell
+	for _, name := range names {
+		cells = append(cells, cell{name, traceConfig(64*addr.KiB, nil, records, warm)})
 		for _, page := range Granularities {
 			for _, interval := range []uint64{1000, 10000} {
-				jobs = append(jobs, job{wl: wl, page: page, interval: interval})
+				mig := &core.Options{Design: core.DesignLive, SwapInterval: interval}
+				cells = append(cells, cell{name, traceConfig(page, mig, records, warm)})
 			}
 		}
 	}
-	results := make([]sim.Result, len(jobs))
-	err := p.forEach(ctx, len(jobs), p.Parallelism, func(i int) error {
-		j := jobs[i]
-		var mig *core.Options
-		page := j.page
-		if j.interval == 0 {
-			page = 64 * addr.KiB // static mapping; granularity is irrelevant
-		} else {
-			mig = &core.Options{Design: core.DesignLive, SwapInterval: j.interval}
-		}
-		res, err := p.runTrace(names[j.wl], traceConfig(page, mig, records, warm))
-		if err != nil {
-			return fmt.Errorf("table4 %s: %w", names[j.wl], err)
-		}
-		results[i] = res
-		return nil
-	})
+	results, err := p.sweep(ctx, cells)
 	if err != nil {
 		return nil, err
 	}
 
+	per := len(cells) / len(names)
 	out := make([]Table4Row, len(names))
-	haveBest := make([]bool, len(names))
-	for i, j := range jobs {
-		res := results[i]
-		row := &out[j.wl]
-		row.Workload = names[j.wl]
-		if j.interval == 0 {
-			row.LatNoMig = res.MeanDRAMLatency
-			continue
+	for wl, name := range names {
+		runs := results[wl*per : (wl+1)*per]
+		best := 1
+		for i := 2; i < per; i++ {
+			if runs[i].MeanDRAMLatency < runs[best].MeanDRAMLatency {
+				best = i
+			}
 		}
-		if !haveBest[j.wl] || res.MeanDRAMLatency < row.BestLatMig {
-			haveBest[j.wl] = true
-			row.BestLatMig = res.MeanDRAMLatency
-			row.CoreLatency = res.Report.MeanCoreLat
-			row.BestPage = j.page
-			row.BestInterval = j.interval
+		bestCfg := cells[wl*per+best].cfg
+		row := Table4Row{
+			Workload:     name,
+			CoreLatency:  runs[best].Report.MeanCoreLat,
+			LatNoMig:     runs[0].MeanDRAMLatency,
+			BestLatMig:   runs[best].MeanDRAMLatency,
+			BestPage:     bestCfg.Geometry.MacroPageSize,
+			BestInterval: bestCfg.Migration.SwapInterval,
 		}
-	}
-	for i := range out {
-		if out[i].BestLatMig > out[i].LatNoMig || !haveBest[i] {
+		if row.BestLatMig > row.LatNoMig {
 			// Migration never beat static at this scale; report static.
-			out[i].BestLatMig = out[i].LatNoMig
-			out[i].BestPage, out[i].BestInterval = 0, 0
+			row.BestLatMig, row.BestPage, row.BestInterval = row.LatNoMig, 0, 0
 		}
-		out[i].Effectiveness = sim.Effectiveness(out[i].LatNoMig, out[i].BestLatMig, out[i].CoreLatency)
+		row.Effectiveness = sim.Effectiveness(row.LatNoMig, row.BestLatMig, row.CoreLatency)
+		out[wl] = row
 	}
 	return out, nil
 }
@@ -349,48 +273,31 @@ type Fig15Point struct {
 // Fig15Capacities is the on-package capacity sweep of Fig. 15.
 var Fig15Capacities = []uint64{128 * addr.MiB, 256 * addr.MiB, 512 * addr.MiB}
 
-// Fig15Data runs the on-package capacity sensitivity study.
+// Fig15Data runs the on-package capacity sensitivity study: per point, a
+// static run and a live-migration run.
 func Fig15Data(ctx context.Context, p Params) ([]Fig15Point, error) {
-	p.packed = newPackedTraces() // one packed trace per workload, replayed by every cell
-	const defRecords = 2_000_000
-	records := p.records(defRecords)
+	records := p.records(2_000_000)
 	warm := p.warmup(records)
 	const page = 64 * addr.KiB
-	type job struct {
-		name string
-		capa uint64
-	}
-	var jobs []job
+	var cells []cell
+	var out []Fig15Point
 	for _, name := range p.workloads(workload.Names()) {
 		for _, capa := range Fig15Capacities {
-			jobs = append(jobs, job{name, capa})
+			static := traceConfig(page, nil, records, warm)
+			mig := traceConfig(page, &core.Options{Design: core.DesignLive, SwapInterval: 1000}, records, warm)
+			static.Geometry.OnPackageCapacity, mig.Geometry.OnPackageCapacity = capa, capa
+			cells = append(cells, cell{name, static}, cell{name, mig})
+			out = append(out, Fig15Point{Workload: name, Capacity: capa})
 		}
 	}
-	out := make([]Fig15Point, len(jobs))
-	err := p.forEach(ctx, len(jobs), p.Parallelism, func(i int) error {
-		j := jobs[i]
-		base := traceConfig(page, nil, records, warm)
-		base.Geometry.OnPackageCapacity = j.capa
-		static, err := p.runTrace(j.name, base)
-		if err != nil {
-			return err
-		}
-		migCfg := traceConfig(page, &core.Options{Design: core.DesignLive, SwapInterval: 1000}, records, warm)
-		migCfg.Geometry.OnPackageCapacity = j.capa
-		mig, err := p.runTrace(j.name, migCfg)
-		if err != nil {
-			return err
-		}
-		out[i] = Fig15Point{
-			Workload: j.name, Capacity: j.capa,
-			CoreLat:  mig.Report.MeanCoreLat,
-			LatMig:   mig.MeanDRAMLatency,
-			LatNoMig: static.MeanDRAMLatency,
-		}
-		return nil
-	})
+	results, err := p.sweep(ctx, cells)
 	if err != nil {
 		return nil, err
+	}
+	for i := range out {
+		static, mig := results[2*i], results[2*i+1]
+		out[i].CoreLat = mig.Report.MeanCoreLat
+		out[i].LatMig, out[i].LatNoMig = mig.MeanDRAMLatency, static.MeanDRAMLatency
 	}
 	return out, nil
 }
@@ -427,40 +334,26 @@ var Fig16Sizes = []uint64{4 * addr.KiB, 16 * addr.KiB, 64 * addr.KiB}
 // Fig16Data computes the relative memory power of the hybrid system with
 // dynamic migration vs an off-package-only system.
 func Fig16Data(ctx context.Context, p Params) ([]Fig16Point, error) {
-	p.packed = newPackedTraces() // one packed trace per workload, replayed by every cell
-	const defRecords = 1_500_000
-	records := p.records(defRecords)
+	records := p.records(1_500_000)
 	warm := p.warmup(records)
-	type job struct {
-		name     string
-		page     uint64
-		interval uint64
-	}
-	var jobs []job
+	var cells []cell
+	var out []Fig16Point
 	for _, name := range p.workloads(workload.Names()) {
 		for _, page := range Fig16Sizes {
 			for _, interval := range Intervals {
-				jobs = append(jobs, job{name, page, interval})
+				cfg := traceConfig(page, &core.Options{Design: core.DesignLive, SwapInterval: interval}, records, warm)
+				cfg.MeterPower = true
+				cells = append(cells, cell{name, cfg})
+				out = append(out, Fig16Point{Workload: name, PageSize: page, Interval: interval})
 			}
 		}
 	}
-	out := make([]Fig16Point, len(jobs))
-	err := p.forEach(ctx, len(jobs), p.Parallelism, func(i int) error {
-		j := jobs[i]
-		cfg := traceConfig(j.page, &core.Options{Design: core.DesignLive, SwapInterval: j.interval}, records, warm)
-		cfg.MeterPower = true
-		res, err := p.runTrace(j.name, cfg)
-		if err != nil {
-			return err
-		}
-		out[i] = Fig16Point{
-			Workload: j.name, PageSize: j.page, Interval: j.interval,
-			Normalized: res.NormalizedPower,
-		}
-		return nil
-	})
+	results, err := p.sweep(ctx, cells)
 	if err != nil {
 		return nil, err
+	}
+	for i, res := range results {
+		out[i].Normalized = res.NormalizedPower
 	}
 	return out, nil
 }
@@ -478,22 +371,9 @@ func Fig16(ctx context.Context, w io.Writer, p Params) error {
 		}
 	}
 	t := newTable(header...)
-	var row []string
-	cur := ""
-	flush := func() {
-		if cur != "" {
-			t.AddRow(append([]string{cur}, row...)...)
-		}
-		row = nil
-	}
-	for _, pt := range points {
-		if pt.Workload != cur {
-			flush()
-			cur = pt.Workload
-		}
-		row = append(row, fmt.Sprintf("%.2fx", pt.Normalized))
-	}
-	flush()
+	addWorkloadRows(t, points,
+		func(pt Fig16Point) string { return pt.Workload },
+		func(pt Fig16Point) string { return fmt.Sprintf("%.2fx", pt.Normalized) })
 	fmt.Fprintln(w, "Fig. 16: memory power relative to an off-package-DRAM-only system")
 	fmt.Fprintln(w, "(columns: macro page size / swap interval)")
 	_, err = io.WriteString(w, t.String())

@@ -394,28 +394,14 @@ func (p Params) forEach(ctx context.Context, n, workers int, fn func(i int) erro
 	})
 }
 
-// simulate runs one cell: replayed from the driver's shared packed
-// materialization when one is active (and the run is bounded, so the
-// materialization is finite), straight from a fresh generator otherwise.
-func (p Params) simulate(name string, cfg sim.Config) (sim.Result, error) {
-	if p.packed != nil && cfg.MaxRecords > 0 {
-		src, err := p.packed.source(name, p.seed(), cfg.MaxRecords)
-		if err != nil {
-			return sim.Result{}, err
-		}
-		return sim.Run(src, cfg)
-	}
-	return runTrace(name, p.seed(), cfg)
-}
-
-// runTrace runs one (workload, configuration) simulation with telemetry
-// and manifest support: a cell already recorded in the manifest is served
-// from it without simulating; otherwise the workload shows up in /progress
-// while it executes, metrics collection is forced on (under telemetry) so
-// the run's counters can fold into the sweep totals, and a completed run
-// is recorded in the manifest before its result is returned. Without
-// either, it is exactly the plain runTrace.
-func (p Params) runTrace(name string, cfg sim.Config) (sim.Result, error) {
+// runTrace runs one (workload, configuration) simulation, replayed from
+// the sweep's packed trace of the workload, with telemetry and manifest
+// support: a cell already recorded in the manifest is served from it
+// without simulating; otherwise the workload shows up in /progress while
+// it executes, metrics collection is forced on (under telemetry) so the
+// run's counters can fold into the sweep totals, and a completed run is
+// recorded in the manifest before its result is returned.
+func (p Params) runTrace(packed *packedTraces, name string, cfg sim.Config) (sim.Result, error) {
 	if p.Channels > 1 {
 		cfg.Channels = p.Channels
 	}
@@ -434,17 +420,20 @@ func (p Params) runTrace(name string, cfg sim.Config) (sim.Result, error) {
 		t.setActive(name, +1)
 		defer t.setActive(name, -1)
 	}
-	res, err := p.simulate(name, cfg)
-	if err == nil {
-		if t != nil {
-			t.observeRun(res.Records, res.Metrics)
-			t.ObserveRingDrops(res.SpansDropped, res.SeriesDropped)
-		}
-		if p.Manifest != nil {
-			if serr := p.Manifest.store(name, p.seed(), cfg, res); serr != nil {
-				return res, fmt.Errorf("experiments: recording manifest cell: %w", serr)
-			}
+	src, err := packed.source(name, p.seed(), cfg.MaxRecords)
+	if err != nil {
+		return sim.Result{}, err
+	}
+	res, err := sim.Run(src, cfg)
+	if err != nil {
+		return res, err
+	}
+	t.observeRun(res.Records, res.Metrics)
+	t.ObserveRingDrops(res.SpansDropped, res.SeriesDropped)
+	if p.Manifest != nil {
+		if err := p.Manifest.store(name, p.seed(), cfg, res); err != nil {
+			return res, fmt.Errorf("experiments: recording manifest cell: %w", err)
 		}
 	}
-	return res, err
+	return res, nil
 }

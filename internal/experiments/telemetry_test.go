@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -29,7 +30,7 @@ func TestTelemetryNilSafe(t *testing.T) {
 	if err := p.forEach(context.Background(), 2, 2, func(int) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
-	res, err := p.runTrace("pgbench", traceConfig(4*addr.MiB, nil, 10_000, 5_000))
+	res, err := p.runTrace(newPackedTraces(), "pgbench", traceConfig(4*addr.MiB, nil, 10_000, 5_000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,12 +156,35 @@ func TestTelemetryConcurrentScrapes(t *testing.T) {
 	}
 }
 
+// TestSweepCountsEverySimulation checks that a sweep announces every
+// simulation it runs: Fig. 15 runs a static and a live-migration cell per
+// point, and the telemetry and the manifest count both.
+func TestSweepCountsEverySimulation(t *testing.T) {
+	man, err := OpenManifest(filepath.Join(t.TempDir(), "fig15.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer man.Close()
+	tel := NewTelemetry()
+	p := Params{Records: 10_000, Warmup: 5_000, Seed: 1, Workloads: []string{"pgbench"}, Telemetry: tel, Manifest: man}
+	points, err := Fig15Data(context.Background(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := int64(2 * len(points))
+	prog := tel.Progress()
+	if prog.Planned != want || prog.Started != want || prog.Completed != want || man.Ran() != uint64(want) {
+		t.Errorf("planned %d, started %d, completed %d, manifest ran %d; want %d each",
+			prog.Planned, prog.Started, prog.Completed, man.Ran(), want)
+	}
+}
+
 // TestTelemetryCountsFailures checks that erroring runs land in the failed
 // counter, not completed.
 func TestTelemetryCountsFailures(t *testing.T) {
 	tel := NewTelemetry()
 	p := Params{Telemetry: tel}
-	if _, err := p.runTrace("no-such-workload", traceConfig(4*addr.MiB, nil, 1000, 500)); err == nil {
+	if _, err := p.runTrace(newPackedTraces(), "no-such-workload", traceConfig(4*addr.MiB, nil, 1000, 500)); err == nil {
 		t.Fatal("bogus workload should fail")
 	}
 	err := p.forEach(context.Background(), 3, 3, func(i int) error {

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"fmt"
 
 	"heteromem/internal/addr"
 	"heteromem/internal/core"
@@ -39,20 +38,9 @@ const (
 // warmup) so the cumulative per-epoch counters cover the whole run.
 func EpochTrajectoryData(ctx context.Context, p Params, name string) ([]EpochTrajectoryPoint, error) {
 	records := p.records(4_000_000)
-	cfgs := []sim.Config{
-		traceConfig(64*addr.KiB, nil, records, 0),
-		traceConfig(TrajectoryPage, &core.Options{Design: core.DesignLive, SwapInterval: TrajectoryInterval}, records, 0),
-	}
-	cfgs[1].EpochSeries = 1 << 16
-	results := make([]sim.Result, len(cfgs))
-	err := p.forEach(ctx, len(cfgs), p.Parallelism, func(i int) error {
-		res, err := p.runTrace(name, cfgs[i])
-		if err != nil {
-			return fmt.Errorf("trajectory %s: %w", name, err)
-		}
-		results[i] = res
-		return nil
-	})
+	liveCfg := traceConfig(TrajectoryPage, &core.Options{Design: core.DesignLive, SwapInterval: TrajectoryInterval}, records, 0)
+	liveCfg.EpochSeries = 1 << 16
+	results, err := p.sweep(ctx, []cell{{name, traceConfig(64*addr.KiB, nil, records, 0)}, {name, liveCfg}})
 	if err != nil {
 		return nil, err
 	}
