@@ -3,9 +3,11 @@ package dsweep
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"net"
 	"path/filepath"
 	"strings"
@@ -446,11 +448,9 @@ func TestLeaseExpiryReassignsSilentWorker(t *testing.T) {
 	assertSweepMatchesDirect(t, manifestPath, []CellSpec{cell})
 }
 
-// corruptResume returns a real checkpoint of cell, taken where its worker
-// would take one, whose controller payload records a device channel count
-// the configuration does not have: the checksums and the config digest
-// hold, so only restoring its state finds the damage.
-func corruptResume(t *testing.T, cell CellSpec) (cp []byte, records uint64) {
+// firstCheckpoint returns cell's first checkpoint, taken where its worker
+// would take one, and the record count it was taken at.
+func firstCheckpoint(t *testing.T, cell CellSpec) (cp []byte, records uint64) {
 	t.Helper()
 	cfg, err := cell.Config()
 	if err != nil {
@@ -470,6 +470,16 @@ func corruptResume(t *testing.T, cell CellSpec) (cp []byte, records uint64) {
 	if _, err := sim.Run(trace.NewLimit(gen, cfg.MaxRecords), cfg); err != nil {
 		t.Fatal(err)
 	}
+	return cp, records
+}
+
+// corruptResume returns cell's first checkpoint with a controller payload
+// that records a device channel count the configuration does not have: the
+// checksums and the config digest hold, so only restoring its state finds
+// the damage.
+func corruptResume(t *testing.T, cell CellSpec) (cp []byte, records uint64) {
+	t.Helper()
+	cp, records = firstCheckpoint(t, cell)
 	d, err := snap.NewDecoder(cp)
 	if err != nil {
 		t.Fatal(err)
@@ -501,17 +511,27 @@ func corruptResume(t *testing.T, cell CellSpec) (cp []byte, records uint64) {
 func TestBadResumeCheckpointRecovers(t *testing.T) {
 	cell := CellSpec{Workload: "MG", Seed: 4, Design: "live", Interval: 1000, Records: 30_000}
 	bad, records := corruptResume(t, cell)
+	skewed, _ := firstCheckpoint(t, cell)
+	skewed[4]++ // the container's format version, resealed under the file CRC
+	binary.LittleEndian.PutUint32(skewed[len(skewed)-4:], crc32.ChecksumIEEE(skewed[:len(skewed)-4]))
+	other := cell
+	other.Design = "n-1"
+	foreign, _ := firstCheckpoint(t, other)
 	for _, poison := range []struct {
 		name       string
 		checkpoint []byte
 		records    uint64
 	}{
 		// Garbage bytes, as if a dying worker had streamed a corrupt
-		// checkpoint: InspectCheckpoint rejects it before the run.
+		// checkpoint.
 		{"garbage", []byte("not a checkpoint"), 5},
 		// A valid container under the right digest whose payload the
-		// component readers reject: the run itself fails to resume.
+		// component readers reject.
 		{"invalid-state", bad, records},
+		// A real checkpoint written by another snapshot format version.
+		{"version-skew", skewed, records},
+		// A valid checkpoint of another cell: its config digest differs.
+		{"other-config", foreign, records},
 	} {
 		t.Run(poison.name, func(t *testing.T) {
 			manifestPath := filepath.Join(t.TempDir(), "sweep.jsonl")

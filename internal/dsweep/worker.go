@@ -232,21 +232,6 @@ func (w *worker) runCell(ctx context.Context, conn net.Conn, lease *envelope) er
 	src := trace.NewLimit(gen, cfg.MaxRecords)
 	cfg.CheckpointEvery = lease.CheckpointEvery
 	cfg.Resume = lease.Resume
-	if len(cfg.Resume) > 0 {
-		// Vet the shipped resume point before simulating: a corrupt or
-		// mismatched checkpoint is reported as BadResume so the coordinator
-		// clears it and the retry starts fresh, instead of every attempt
-		// tripping over the same snapshot until the cell fails permanently.
-		info, ierr := sim.InspectCheckpoint(cfg.Resume)
-		if ierr != nil {
-			return w.reportFailure(conn, lease.LeaseID, fmt.Errorf("unusable resume checkpoint: %w", ierr), true)
-		}
-		if want := sim.ConfigDigest(cfg); info.ConfigDigest != want {
-			return w.reportFailure(conn, lease.LeaseID,
-				fmt.Errorf("resume checkpoint digest %016x does not match cell config %016x: %w",
-					info.ConfigDigest, want, sim.ErrConfigMismatch), true)
-		}
-	}
 
 	var connErr error
 	revoked := false
@@ -303,9 +288,11 @@ func (w *worker) runCell(ctx context.Context, conn net.Conn, lease *envelope) er
 			_ = w.reportFailure(conn, lease.LeaseID, runErr, false)
 			return err
 		}
-		// A checkpoint can pass InspectCheckpoint and still hold state the
-		// components reject on restore; retrying it would fail the same way.
-		badResume := errors.Is(runErr, sim.ErrConfigMismatch) || errors.Is(runErr, snap.ErrCorrupt)
+		// A corrupt, version-skewed or mismatched resume point fails every
+		// retry the same way: report it as BadResume so the coordinator
+		// clears it and the next attempt starts fresh.
+		var skew *snap.VersionError
+		badResume := errors.Is(runErr, sim.ErrConfigMismatch) || errors.Is(runErr, snap.ErrCorrupt) || errors.As(runErr, &skew)
 		return w.reportFailure(conn, lease.LeaseID, runErr, badResume)
 	}
 
