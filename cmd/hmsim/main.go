@@ -43,6 +43,7 @@ import (
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -240,6 +241,9 @@ func main() {
 	}
 
 	if *workloadName != "" {
+		if !slices.Contains(heteromem.Workloads(), *workloadName) {
+			usageErr("unknown workload %q (want %s)", *workloadName, strings.Join(heteromem.Workloads(), ", "))
+		}
 		d := *design
 		_, migrates, err := core.ParseDesign(d)
 		if err != nil {

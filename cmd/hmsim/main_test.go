@@ -553,9 +553,9 @@ func TestSingleRunScheme(t *testing.T) {
 
 // TestMainSchemeUsageErrors re-executes main() with flag combinations that
 // must die as usage errors (exit 2): a pure cache scheme combined with
-// migration-only flags, and an unknown scheme name. memcache keeps the
-// migration engine, so the same flags must be accepted there (the run is
-// kept tiny and merely has to get past flag validation).
+// migration-only flags, and an unknown scheme or workload name. memcache
+// keeps the migration engine, so the same flags must be accepted there
+// (the run is kept tiny and merely has to get past flag validation).
 func TestMainSchemeUsageErrors(t *testing.T) {
 	if args := os.Getenv("HMSIM_SCHEME_HELPER"); args != "" {
 		os.Args = append([]string{"hmsim"}, strings.Split(args, " ")...)
@@ -590,6 +590,7 @@ func TestMainSchemeUsageErrors(t *testing.T) {
 		"-workload pgbench -scheme alloy -interval 500",
 		"-workload pgbench -scheme cachemode -audit",
 		"-workload pgbench -scheme bogus",
+		"-workload bogus",
 		"-workload pgbench -scheme memcache -design none",
 		"-exp fig11a -scheme alloy", // -scheme is single-run only
 	} {
