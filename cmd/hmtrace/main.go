@@ -110,22 +110,33 @@ func cmdGen(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	w := stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
-	}
 	format := "bin"
 	if *text {
 		format = "text"
 	} else if *packed {
 		format = "packed"
 	}
-	return writeAll(w, trace.NewLimit(gen, *n), format)
+	return writeOutput(*out, stdout, func(w io.Writer) error {
+		return writeAll(w, trace.NewLimit(gen, *n), format)
+	})
+}
+
+// writeOutput runs write against the file at path, or against stdout when
+// path is empty. A file's Close error is returned too: data the kernel
+// fails to write back only at close must not pass as a success.
+func writeOutput(path string, stdout io.Writer, write func(io.Writer) error) error {
+	if path == "" {
+		return write(stdout)
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // openTrace opens path and detects the container by magic: HMPK loads the
@@ -262,14 +273,5 @@ func cmdConvert(args []string, stdout io.Writer) error {
 		return err
 	}
 	defer closer()
-	w := stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
-	}
-	return writeAll(w, src, *to)
+	return writeOutput(*out, stdout, func(w io.Writer) error { return writeAll(w, src, *to) })
 }
