@@ -15,7 +15,7 @@ type workerPanic struct {
 }
 
 // forEachIndex runs fn(i) for i in [0, n) on up to `workers` goroutines
-// (0 = GOMAXPROCS). Each simulation owns its generator and controller, so
+// (0 = GOMAXPROCS). Each simulation owns its trace source and controller, so
 // configurations are embarrassingly parallel; results are written by index,
 // keeping output order deterministic regardless of scheduling.
 //
