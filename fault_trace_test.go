@@ -138,21 +138,21 @@ var pinnedLadder = map[string][2]string{
 	"N/c2/retire=1000/obs=false":    {"d696562b87b5090e0321ddbc45ba26c4cf164a6f352095228dfc5fbfdea289cd", "d696562b87b5090e0321ddbc45ba26c4cf164a6f352095228dfc5fbfdea289cd"},
 	"N/c2/retire=1000/obs=true":     {"1fd06730246d3e57cb8ec4164a82c3055e265882aef38d5b8d002f037f87f971", "d4491f52fcc7e7382877247894f0a54450b6fb206cc23da6d9387010bbe59780"},
 	"N-1/c1/retire=3/obs=false":     {"84e13b056e9bcf7beea73f3bcdf8f59cb67238bfb0b5da36a49970b977b97a8c", "84e13b056e9bcf7beea73f3bcdf8f59cb67238bfb0b5da36a49970b977b97a8c"},
-	"N-1/c1/retire=3/obs=true":      {"e99a0efd28783ea9427e4c2684fc7bdafd3d7f5a25250e96a2be65da54f0db77", "e601961ee550d9b959cb9b2a01f38c646edf8c2a766ec4bd562e809a1924e787"},
+	"N-1/c1/retire=3/obs=true":      {"63a145f5beb2cac22fb96577e612d9ab8103aca28356e0658c9544edcfde980e", "dbc1407f6c05ac590ccb2a0154a26ed23dea089ad21d77a0e84b1d561806e33b"},
 	"N-1/c1/retire=1000/obs=false":  {"4d8ad260b776f49a477b8d93de260d3b24cbfb9558c62cb33ee86106cb42d2d3", "4d8ad260b776f49a477b8d93de260d3b24cbfb9558c62cb33ee86106cb42d2d3"},
-	"N-1/c1/retire=1000/obs=true":   {"317d739035d53d675b09c84ecfa854443d34e440d121d7924c7d12ad2bc74d6e", "52d28d7ca53b5c310b57286d722e916c0655f8b84f51fe84c39bab732c5e7b22"},
+	"N-1/c1/retire=1000/obs=true":   {"96f8f4b3caa538548a490f5fc9d9400037a9679f839521f9ae21c7539b7ac8d3", "034a900fbec71705a12e0f0a0a7c0e352d4b02c96c53f45749cebce27e18f90f"},
 	"N-1/c2/retire=3/obs=false":     {"7266ede2744d4f3af5c8d0f74fae4f19ba2e539bfe1de62d7e06702f88e8614c", "7266ede2744d4f3af5c8d0f74fae4f19ba2e539bfe1de62d7e06702f88e8614c"},
-	"N-1/c2/retire=3/obs=true":      {"ca95996a0a839fc909904ed34b53bdc2def281f45f1d3d52ba8e8190059e7cdc", "dcaf39f5eb38ad7ae30192d1ae5834146a2f8636f2e9923d67f8eb1b5751912e"},
+	"N-1/c2/retire=3/obs=true":      {"163dbeadbb9eec62ad8022f6543fda25e63e131a832541ba5e799dbd1dc1540e", "e695a8b1b656ffa835402e1c564635355f2966ee7eb470357123881555cbbdd1"},
 	"N-1/c2/retire=1000/obs=false":  {"96060477414d501b079981960e7cfc62403de26c018b359e00e938f7d814e313", "96060477414d501b079981960e7cfc62403de26c018b359e00e938f7d814e313"},
-	"N-1/c2/retire=1000/obs=true":   {"3b6c532462c1885efd1a8162a2d7f4b2300b2ca6d1bb3a63c547a0ee70a4a105", "19745711df2893608e49e4d438cc48c24bca8d66af812510c73b635a5bdd2242"},
+	"N-1/c2/retire=1000/obs=true":   {"6ee43fcd1cbb9b2474172c18a755736de194749b0b83cebb52f77d2fcc8d99f8", "1d323932474e9703bc1a64d0ce8f28ae117bd4a6bef2264b49aab02a14319197"},
 	"Live/c1/retire=3/obs=false":    {"860c15ca8312beb5b5c053950a85ba6f7db4ed078067194f135cbe5d46f7559b", "860c15ca8312beb5b5c053950a85ba6f7db4ed078067194f135cbe5d46f7559b"},
-	"Live/c1/retire=3/obs=true":     {"d074be998c57d7dd795b8e02a687a499a26e90b69c3b1e96038dd3ee1e73a002", "6c10bc85c9696d345e16fb194a22e807d891066c48cfd1319648d957a6f29c19"},
+	"Live/c1/retire=3/obs=true":     {"9920e3633d1ce39cfadff7e213f6b2f0c01994dddeb71d47bc78f6bc8b814c68", "cecf82a1808856917f7395689fceda003dceb1540e88c08e92e4181b59bf4548"},
 	"Live/c1/retire=1000/obs=false": {"5e43f20b5a48a29e96299c8a78334b709dae353bfe2d60254a975e909c46932a", "5e43f20b5a48a29e96299c8a78334b709dae353bfe2d60254a975e909c46932a"},
-	"Live/c1/retire=1000/obs=true":  {"13c43317a2e23b318c8dd6a85e1fe22719be0c71bfb737b55f4b78f3da74c0a8", "fa582743678b950200467f43e04598bd6db72a610be991e6e5fcebe8a8d88526"},
+	"Live/c1/retire=1000/obs=true":  {"e746655e297a42b23c985c51c92159bed8466e88ede68d3c36145ab9546abc1f", "34a17e001547ada95e423c9279e245ef445b41d6527f9a7f3acce6e40484c11f"},
 	"Live/c2/retire=3/obs=false":    {"e965479acf83460889d9d93ea26e82fb3ffb376b970e66fb2d1a666408a66bcb", "e965479acf83460889d9d93ea26e82fb3ffb376b970e66fb2d1a666408a66bcb"},
-	"Live/c2/retire=3/obs=true":     {"3d04f0c9600251190f4db60849812b3e8f4966239f420345002e57736b1cab12", "d4877a2c30276b2eb5b93de064973ae7e3c86ad9c1dcbd613de5ab8aef654254"},
+	"Live/c2/retire=3/obs=true":     {"f4aeabc3fd8ac63b34db598719798ccf8483c94efd42a9d218bc8de58b6b5ddf", "8c1571f6ef41a28564bf704cef1c21934fadc6f7af09752a81459e6fa2f493b2"},
 	"Live/c2/retire=1000/obs=false": {"1321facde4631fe501b7c5d4c63ab4a96fbb6d3ceac5fdd1019c38ab67214aae", "1321facde4631fe501b7c5d4c63ab4a96fbb6d3ceac5fdd1019c38ab67214aae"},
-	"Live/c2/retire=1000/obs=true":  {"32e960c6a7b2bb2aac4e3ef1f12686737f47a716dba4d99bceeee9064a9a4bd3", "e0cfa35d954ea59afcc5fbc958b91f533e98b64de4e40a6c086ed1a6f9eae64f"},
+	"Live/c2/retire=1000/obs=true":  {"0ba79080aef32abcc1eb390f71a926b3008aa683db3aade9d74a102f84d3f5d1", "b6e1e54b6575cd666264ba3a707b9077c9a9cc720646c710e3f8e9b8ab72969f"},
 }
 
 // TestFaultLadderPinned pins the fault responses of every migration design

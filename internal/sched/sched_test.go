@@ -346,3 +346,29 @@ func TestSchedulerSteadyStateZeroAlloc(t *testing.T) {
 		t.Fatal("no bulk job completed; the bulk leg was not exercised")
 	}
 }
+
+// TestBulkBurstsCountedOncePerJob: a background copy that an idle channel
+// runs in many small pieces counts the bursts of the whole job once, when
+// it completes, exactly as the same transfer reserved whole does. The job
+// is one 4 KiB off-package copy leg: 64 bursts plus half a row activation,
+// 1,237 cycles, which count as 65 bursts.
+func TestBulkBurstsCountedOncePerJob(t *testing.T) {
+	whole := newSched(t, 1, Config{}, nil, nil)
+	tm := whole.Device().Timing()
+	leg := 64*tm.TBurst + tm.TRCD*4096/8192
+	whole.Device().ReserveBus(0, 0, leg)
+	_, _, _, want := whole.Device().Stats()
+
+	var done *BulkJob
+	s := newSched(t, 1, Config{}, nil, func(j *BulkJob) { done = j })
+	s.SubmitBulk(0, &BulkJob{Duration: leg}, 0)
+	for now := int64(10); done == nil; now += 10 {
+		s.Advance(now)
+	}
+	if done.Done != leg {
+		t.Fatalf("job done at %d, want %d", done.Done, leg)
+	}
+	if _, _, _, got := s.Device().Stats(); got != want || want != 65 {
+		t.Fatalf("leg advanced in 10-cycle steps counted %d bursts, reserved whole %d; want 65 each", got, want)
+	}
+}
