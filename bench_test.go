@@ -450,15 +450,20 @@ func BenchmarkDRAMService(b *testing.B) {
 // BenchmarkSchedulerThroughput submits one request per iteration. The
 // with-bulk leg also queues a 64-cycle background job every 8th iteration,
 // rotating over the channels, so the bulk FIFO is pushed and popped at
-// steady state too.
+// steady state too. The advance leg advances the clock before each Submit,
+// as Controller.Access does, and queues a job the size of a 4 KiB
+// off-package copy leg (1,237 cycles) every 32nd iteration, so channels
+// sit idle with a copy in flight between their requests.
 func BenchmarkSchedulerThroughput(b *testing.B) {
-	b.Run("requests", func(b *testing.B) { benchScheduler(b, 0) })
-	b.Run("with-bulk", func(b *testing.B) { benchScheduler(b, 8) })
+	b.Run("requests", func(b *testing.B) { benchScheduler(b, 0, 0, false) })
+	b.Run("with-bulk", func(b *testing.B) { benchScheduler(b, 8, 64, false) })
+	b.Run("advance", func(b *testing.B) { benchScheduler(b, 32, 1237, true) })
 }
 
 // benchScheduler drives a 4-channel off-package scheduler; bulkEvery > 0
-// adds a bulk job every bulkEvery requests.
-func benchScheduler(b *testing.B, bulkEvery int) {
+// adds a bulk job of jobCycles every bulkEvery requests, and advance
+// advances the clock before every request.
+func benchScheduler(b *testing.B, bulkEvery int, jobCycles int64, advance bool) {
 	dev, _ := dram.New(dram.Geometry{
 		Channels: 4, BanksPerCh: 8, RowBytes: 8192, BurstBytes: 64,
 	}, iconfig.OffPackageTiming())
@@ -489,6 +494,9 @@ func benchScheduler(b *testing.B, bulkEvery int) {
 		r.ID = uint64(i)
 		r.Arrive = now
 		r.Addr = uint64(i) * 64 % (1 << 30)
+		if advance {
+			s.Advance(now)
+		}
 		s.Submit(r, now)
 		if bulkEvery > 0 && i%bulkEvery == 0 {
 			var j *sched.BulkJob
@@ -498,7 +506,7 @@ func benchScheduler(b *testing.B, bulkEvery int) {
 			} else {
 				j = new(sched.BulkJob)
 			}
-			j.Duration, j.Earliest = 64, now
+			j.Duration, j.Earliest = jobCycles, now
 			s.SubmitBulk(i/bulkEvery%4, j, now)
 		}
 	}

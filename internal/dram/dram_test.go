@@ -215,17 +215,6 @@ func TestReserveBusBlocksChannel(t *testing.T) {
 	}
 }
 
-func TestIdleGap(t *testing.T) {
-	d := newTestDevice(t, 1, 8)
-	if from, ok := d.IdleGap(0, 100); !ok || from != 0 {
-		t.Fatalf("idle device gap = %d,%v", from, ok)
-	}
-	d.ReserveBus(0, 0, 200)
-	if _, ok := d.IdleGap(0, 100); ok {
-		t.Fatal("gap reported during busy period")
-	}
-}
-
 func TestReset(t *testing.T) {
 	d := newTestDevice(t, 2, 8)
 	d.Service(0, true, 0)

@@ -1176,13 +1176,15 @@ func (c *Controller) runCopy(sc core.SubCopy, start int64, probe bool, exhausted
 }
 
 // reserve books dur bus cycles for a synchronous copy leg touching the
-// given machine address, on the channel its macro page belongs to.
+// given machine address, on the channel its macro page belongs to. It
+// books through the region's scheduler, which first settles the background
+// progress the channel is owed.
 func (c *Controller) reserve(on bool, machine uint64, at, dur int64) int64 {
 	page := machine / c.cfg.Geometry.MacroPageSize
 	if on {
-		return c.onDev.ReserveBus(int(page%uint64(c.cfg.Geometry.OnChannels)), at, dur)
+		return c.onSch.ReserveBus(int(page%uint64(c.cfg.Geometry.OnChannels)), at, dur)
 	}
-	return c.offDev.ReserveBus(int(page%uint64(c.cfg.Geometry.OffChannels)), at, dur)
+	return c.offSch.ReserveBus(int(page%uint64(c.cfg.Geometry.OffChannels)), at, dur)
 }
 
 // landCopy books one landed copy leg, background or synchronous, of a

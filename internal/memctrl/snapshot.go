@@ -34,6 +34,12 @@ func (c *Controller) Snap(s *snap.Stream) {
 		s.Fail(fmt.Errorf("memctrl: cannot checkpoint a failed controller: %w", c.firstErr))
 		return
 	}
+	if !s.Reading() {
+		// The devices' bus state is exact only once the background
+		// progress the schedulers owe is applied.
+		c.onSch.Settle()
+		c.offSch.Settle()
+	}
 	snap.Int64(s, &c.now)
 	snap.Int64(s, &c.stallUntil)
 	snap.Int64(s, &c.osPenalty)
