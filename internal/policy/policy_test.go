@@ -1,8 +1,12 @@
 package policy
 
 import (
+	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
+
+	"heteromem/internal/snap"
 )
 
 func TestClockVictimPrefersUntouched(t *testing.T) {
@@ -231,5 +235,88 @@ func TestVictimBitCosts(t *testing.T) {
 	c, _ := NewClockPLRU(256)
 	if r.BitCost() <= 0 || f.BitCost() != 8 || c.BitCost() != 256 {
 		t.Fatalf("bit costs: random=%d fifo=%d clock=%d", r.BitCost(), f.BitCost(), c.BitCost())
+	}
+}
+
+// TestMultiQueueIndexWalk drives random Touch, Remove and Reset calls over
+// 80 pages, some strided so their probe runs collide, and checks after
+// every call that each tracked node is found at its arena index and that
+// the index holds exactly the tracked pages.
+func TestMultiQueueIndexWalk(t *testing.T) {
+	for seed := int64(1); seed <= 50; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		pages := make([]uint64, 80)
+		for i := range pages {
+			if i%2 == 0 {
+				pages[i] = uint64(i) << 20 // a 4 MiB-page stride
+			} else {
+				pages[i] = rng.Uint64()
+			}
+		}
+		m, err := NewMultiQueue(3, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for step := 0; step < 2000; step++ {
+			page := pages[rng.Intn(len(pages))]
+			switch k := rng.Intn(100); {
+			case k < 80:
+				m.Touch(page)
+			case k < 99:
+				m.Remove(page)
+			default:
+				m.Reset()
+			}
+			tracked := 0
+			for l := range m.head {
+				for i := m.head[l]; i != mqNil; i = m.nodes[i].next {
+					tracked++
+					if got := m.lookup(m.nodes[i].page); got != i {
+						t.Fatalf("seed %d step %d: page %d at node %d, index finds node %d", seed, step, m.nodes[i].page, i, got)
+					}
+				}
+			}
+			indexed := 0
+			for _, sl := range m.index {
+				if sl.node == mqNil {
+					continue
+				}
+				indexed++
+				if n := m.nodes[sl.node]; n.page != sl.page {
+					t.Fatalf("seed %d step %d: index maps page %d to node %d, which holds page %d", seed, step, sl.page, sl.node, n.page)
+				}
+			}
+			if indexed != tracked || m.Len() != tracked {
+				t.Fatalf("seed %d step %d: %d pages tracked, %d indexed, Len %d", seed, step, tracked, indexed, m.Len())
+			}
+		}
+	}
+}
+
+// TestMultiQueueRestoreRejectsDuplicatePage: a checkpoint that lists one
+// page twice does not restore.
+func TestMultiQueueRestoreRejectsDuplicatePage(t *testing.T) {
+	m, _ := NewMultiQueue(3, 10)
+	m.Touch(5)
+	m.Touch(6)
+	m.nodes[m.lookup(6)].page = 5
+	enc := snap.NewEncoder()
+	m.Snap(enc.Section("mq"))
+	data, err := enc.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, err := snap.NewDecoder(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := dec.Section("mq")
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored, _ := NewMultiQueue(3, 10)
+	restored.Snap(st)
+	if err := st.Err(); err == nil || !strings.Contains(err.Error(), "appears twice") {
+		t.Fatalf("restore of a duplicated page: error %v, want \"appears twice\"", err)
 	}
 }

@@ -74,11 +74,11 @@ func (m *MultiQueue) Snap(s *snap.Stream) {
 			if !s.Reading() || s.Err() != nil {
 				continue
 			}
-			if _, dup := m.index[nd.page]; dup {
+			if m.lookup(nd.page) != mqNil {
 				s.Invalid("multi-queue page %d appears twice", nd.page)
 				return
 			}
-			m.index[nd.page] = i
+			m.insert(nd.page, i)
 		}
 	}
 }
