@@ -6,6 +6,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"strings"
 )
 
@@ -111,14 +112,8 @@ func (h *Histogram) Add(v int64) {
 	h.total++
 }
 
-func bucketOf(v uint64) int {
-	b := 0
-	for v > 1 {
-		v >>= 1
-		b++
-	}
-	return b
-}
+// bucketOf is floor(log2 v), with 0 and 1 both in bucket 0.
+func bucketOf(v uint64) int { return bits.Len64(v|1) - 1 }
 
 // Total returns the sample count.
 func (h *Histogram) Total() uint64 { return h.total }

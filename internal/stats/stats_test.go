@@ -169,3 +169,26 @@ func TestMergeCommutative(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestBucketOfMatchesShiftLoop compares bucketOf with the shift loop it
+// replaced at 0 and at every power-of-two edge, one either side.
+func TestBucketOfMatchesShiftLoop(t *testing.T) {
+	loop := func(v uint64) int {
+		b := 0
+		for v > 1 {
+			v >>= 1
+			b++
+		}
+		return b
+	}
+	vs := []uint64{0, math.MaxUint64}
+	for i := range 64 {
+		p := uint64(1) << i
+		vs = append(vs, p-1, p, p+1)
+	}
+	for _, v := range vs {
+		if got, want := bucketOf(v), loop(v); got != want {
+			t.Errorf("bucketOf(%d) = %d, want %d", v, got, want)
+		}
+	}
+}
