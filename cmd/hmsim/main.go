@@ -55,6 +55,7 @@ import (
 	"heteromem/internal/flog"
 	"heteromem/internal/scheme"
 	"heteromem/internal/snap"
+	"heteromem/internal/workload"
 )
 
 func main() {
@@ -420,10 +421,6 @@ func main() {
 	}
 
 	p := experiments.Params{Records: *records, Warmup: *warmup, Seed: *seed, Channels: *channels}
-	if *workloads != "" {
-		p.Workloads = strings.Split(*workloads, ",")
-	}
-
 	registry := experiments.Registry()
 	names := []string{*exp}
 	if *exp == "all" {
@@ -433,6 +430,30 @@ func main() {
 		if _, ok := registry[name]; !ok {
 			usageErr("unknown experiment %q (use -list)", name)
 		}
+	}
+	if *workloads != "" {
+		p.Workloads = strings.Split(*workloads, ",")
+		known := append(workload.Names(), workload.ProgramNames()...)
+		for _, w := range p.Workloads {
+			if !slices.Contains(known, w) {
+				usageErr("unknown workload %q in -workloads (want %s)", w, strings.Join(known, ", "))
+			}
+		}
+		// Each driver runs over memory workloads or over programs (or
+		// none): one that no -workloads name fits would run nothing.
+		var fit []string
+		for _, name := range names {
+			def := experiments.DriverWorkloads(name)
+			if def == nil || slices.ContainsFunc(p.Workloads, func(w string) bool { return slices.Contains(def, w) }) {
+				fit = append(fit, name)
+				continue
+			}
+			if *exp != "all" {
+				usageErr("-workloads %s: %s runs over %s", *workloads, name, strings.Join(def, ", "))
+			}
+			fmt.Fprintf(os.Stderr, "hmsim: skipping %s: it runs over none of -workloads %s\n", name, *workloads)
+		}
+		names = fit
 	}
 
 	runCtx := ctx

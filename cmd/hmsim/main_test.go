@@ -553,9 +553,11 @@ func TestSingleRunScheme(t *testing.T) {
 
 // TestMainSchemeUsageErrors re-executes main() with flag combinations that
 // must die as usage errors (exit 2): a pure cache scheme combined with
-// migration-only flags, and an unknown scheme or workload name. memcache
-// keeps the migration engine, so the same flags must be accepted there
-// (the run is kept tiny and merely has to get past flag validation).
+// migration-only flags, an unknown scheme or workload name, and a
+// -workloads list with an unknown name or with no name a single -exp runs
+// over. memcache keeps the migration engine, so the same flags must be
+// accepted there, and -exp all skips the drivers -workloads does not fit
+// (the runs are kept tiny and merely have to get past flag validation).
 func TestMainSchemeUsageErrors(t *testing.T) {
 	if args := os.Getenv("HMSIM_SCHEME_HELPER"); args != "" {
 		os.Args = append([]string{"hmsim"}, strings.Split(args, " ")...)
@@ -593,6 +595,10 @@ func TestMainSchemeUsageErrors(t *testing.T) {
 		"-workload bogus",
 		"-workload pgbench -scheme memcache -design none",
 		"-exp fig11a -scheme alloy", // -scheme is single-run only
+		"-exp fig11a -workloads pgbench,bogus",
+		"-exp all -workloads bogus",
+		"-exp fig4 -workloads pgbench", // fig4 runs over NPB programs
+		"-exp table4 -workloads EP.C",  // table4 runs over memory workloads
 	} {
 		if code, errOut := run(args); code != 2 {
 			t.Errorf("%s: exit %d (stderr %q), want usage error 2", args, code, errOut)
@@ -601,6 +607,17 @@ func TestMainSchemeUsageErrors(t *testing.T) {
 	// memcache keeps the migration machinery: the same flags validate.
 	if code, errOut := run("-workload pgbench -scheme memcache -design live -interval 1000 -audit -records 20000"); code != 0 {
 		t.Errorf("memcache with migration flags exited %d (stderr %q), want success", code, errOut)
+	}
+	// fig4 and fig5 run over programs only: -exp all skips them, one line
+	// each, and runs every other driver over pgbench.
+	code, errOut := run("-exp all -workloads pgbench -records 2000 -warmup 1000")
+	if code != 0 {
+		t.Errorf("-exp all -workloads pgbench exited %d (stderr %q), want success", code, errOut)
+	}
+	for _, name := range []string{"fig4", "fig5"} {
+		if !strings.Contains(errOut, "skipping "+name+":") {
+			t.Errorf("-exp all -workloads pgbench: stderr %q does not report skipping %s", errOut, name)
+		}
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"sync"
 
@@ -81,11 +82,21 @@ func (p Params) seed() int64 {
 	return 1
 }
 
+// workloads returns the names of the Workloads filter that def contains,
+// in the filter's order, or def when there is no filter. A driver runs
+// over memory workloads or over programs, so one filter can serve both
+// kinds: each driver keeps the names of its own kind.
 func (p Params) workloads(def []string) []string {
 	if len(p.Workloads) == 0 {
 		return def
 	}
-	return p.Workloads
+	var names []string
+	for _, name := range p.Workloads {
+		if slices.Contains(def, name) {
+			names = append(names, name)
+		}
+	}
+	return names
 }
 
 // Granularities is the paper's macro-page sweep (Table III: 4 KB to 4 MB).
@@ -248,6 +259,20 @@ func Registry() map[string]Runner {
 		"fig16":   Fig16,
 		"schemes": Schemes,
 	}
+}
+
+// DriverWorkloads returns the workloads the named experiment runs over
+// when Params.Workloads does not narrow them: the NPB programs for the
+// Section II figures, the memory workloads for the Section IV sweeps and
+// the schemes comparison, and nil for an experiment that takes none.
+func DriverWorkloads(name string) []string {
+	switch name {
+	case "fig4", "fig5":
+		return workload.ProgramNames()
+	case "table4", "fig11a", "fig11b", "fig11c", "fig12", "fig13", "fig14", "fig15", "fig16", "schemes":
+		return workload.Names()
+	}
+	return nil
 }
 
 // Names returns the registered experiment IDs, sorted.

@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"slices"
 	"strings"
 	"testing"
 
@@ -195,6 +196,23 @@ func TestRunnersRenderOutput(t *testing.T) {
 		}
 		if !strings.Contains(buf.String(), "pgbench") {
 			t.Fatalf("%s output missing workload row:\n%s", name, buf.String())
+		}
+	}
+}
+
+// TestParamsWorkloadsFilter: a driver keeps the filter's names of its own
+// kind, in the filter's order, and its full list when there is no filter.
+func TestParamsWorkloadsFilter(t *testing.T) {
+	def := []string{"FT", "MG", "pgbench", "SPEC2006"}
+	for _, tc := range []struct {
+		filter, want []string
+	}{
+		{nil, def},
+		{[]string{"SPEC2006", "EP.C", "FT"}, []string{"SPEC2006", "FT"}},
+		{[]string{"EP.C", "FT.C"}, nil},
+	} {
+		if got := (Params{Workloads: tc.filter}).workloads(def); !slices.Equal(got, tc.want) {
+			t.Errorf("filter %v: workloads %v, want %v", tc.filter, got, tc.want)
 		}
 	}
 }
