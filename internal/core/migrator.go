@@ -351,7 +351,14 @@ func (m *Migrator) EpochTick() []SubCopy {
 		m.resetEpochCounts()
 		return nil
 	}
-	if uint64(hot) <= uint64(m.slotCount[victim]) {
+	// The MRU must be hotter than the page the swap evicts. That is the
+	// victim's, except that the N design restores an MS MRU by exchanging
+	// it with its partner, the page in the MRU's own slot.
+	evict := victim
+	if m.opt.Design == DesignN && m.table.Classify(mru) == MigratedSlow {
+		evict = int(mru)
+	}
+	if uint64(hot) <= uint64(m.slotCount[evict]) {
 		m.stats.TriggersCold++
 		m.resetEpochCounts()
 		return nil

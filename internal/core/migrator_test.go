@@ -129,6 +129,40 @@ func TestMigratorColdTriggerSkipped(t *testing.T) {
 	}
 }
 
+// TestDesignNMSColdAgainstOwnSlot pins the N design's trigger for an MS
+// MRU: restoring it evicts its partner from the MRU's own slot, not the
+// clock victim, so the swap starts only when the MRU is hotter than that
+// slot.
+func TestDesignNMSColdAgainstOwnSlot(t *testing.T) {
+	m := newTestMigrator(t, DesignN, 100)
+	subs := hammer(m, 40<<16, 100)
+	if subs == nil {
+		t.Fatal("epoch 1 did not promote page 40")
+	}
+	drainSwap(t, m, subs)
+	if s := m.Table().SlotOf(40); s != 0 || m.Table().Classify(0) != MigratedSlow {
+		t.Fatalf("after epoch 1: page 40 in slot %d, page 0 is %v; want slot 0 and MS", s, m.Table().Classify(0))
+	}
+	// Epoch 2: page 40 (in slot 0) takes 90 accesses, MS page 0 takes 10.
+	for i := 0; i < 100; i++ {
+		p := uint64(40)
+		if i%10 == 9 {
+			p = 0
+		}
+		_, on := m.Translate(p << 16)
+		m.OnAccess(p<<16, on)
+		if subs := m.EpochTick(); subs != nil {
+			t.Fatalf("access %d: the swap sends page 40 (90 accesses) off for page 0 (10)", i)
+		}
+	}
+	if got := m.Stats().TriggersCold; got != 1 {
+		t.Fatalf("TriggersCold = %d, want 1", got)
+	}
+	if s := m.Table().SlotOf(40); s != 0 {
+		t.Fatalf("page 40 moved to slot %d", s)
+	}
+}
+
 func TestLiveMigrationRoutesCopiedSubBlocks(t *testing.T) {
 	m := newTestMigrator(t, DesignLive, 16)
 	const hot = 40

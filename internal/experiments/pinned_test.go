@@ -16,8 +16,8 @@ import (
 // every one of them unchanged.
 var pinnedDrivers = map[string]string{
 	"fig10":     "7ad62bcf1b7f70b8439033121c2bb28473eb6d6ee38938a5b88d3cf6b4866e3f",
-	"fig11a":    "1b683f8dd55a1203dbecf8475a6353a499843fd10920d6448f13faef7f86590f",
-	"fig11a/c2": "09645bf2af28c484b1bef37d72d7dcd6616998259e9a22d9f20fa767a9df392f",
+	"fig11a":    "51c94fa14b2482046f7fe130275b38e8813b57e76790b2c88cb56a82999bb558",
+	"fig11a/c2": "1f6c59882ca993a286b38fdcfeafdb6d44afc3ccd2b2b1a9c24d1666b262fe7f",
 	"fig11b":    "915e30f1553dbbb86ba0857ed9c6636e13b6b484b47972cd61738fa502b1fea5",
 	"fig11c":    "e861becfd8f6fbb1aa41c392ae95c97e4f5efb55e251365c97cc80c73db65fdd",
 	"fig12":     "6214ad0ac286376e0222c8e83e0b74701ac070cdcaad13a7a663e121ebd6b819",
