@@ -54,6 +54,7 @@ import (
 	"heteromem/internal/experiments"
 	"heteromem/internal/flog"
 	"heteromem/internal/scheme"
+	"heteromem/internal/sim"
 	"heteromem/internal/snap"
 	"heteromem/internal/workload"
 )
@@ -196,9 +197,6 @@ func main() {
 	onlyIn([]string{"name"}, mode == modeWorker, "worker mode (-worker)")
 	onlyIn([]string{"records", "warmup", "seed", "channels"},
 		mode != modeWorker, "a mode that simulates locally (workers take cell parameters from their leases)")
-	if *channels < 0 {
-		usageErr("-channels must be >= 0, got %d", *channels)
-	}
 	if *records > 0 && *warmup >= *records {
 		usageErr("-warmup (%d) must be smaller than -records (%d)", *warmup, *records)
 	}
@@ -217,6 +215,13 @@ func main() {
 		}
 		if *ckOut != "" && *ckEvery == 0 {
 			usageErr("-checkpoint-out requires -checkpoint-every")
+		}
+	}
+	if mode == modeExp {
+		// No driver's page is above the Table III default, the widest
+		// stripe: a channel count that shards it shards every driver's.
+		if _, err := experiments.CellConfig("", "", 0, 0, *channels, 0, 0); err != nil {
+			usageErr("-channels: %v", err)
 		}
 	}
 
@@ -245,16 +250,32 @@ func main() {
 		if !slices.Contains(heteromem.Workloads(), *workloadName) {
 			usageErr("unknown workload %q (want %s)", *workloadName, strings.Join(heteromem.Workloads(), ", "))
 		}
-		d := *design
-		_, migrates, err := core.ParseDesign(d)
-		if err != nil {
-			usageErr("unknown design %q (want n, n-1, live, or none)", d)
+		if _, _, err := core.ParseDesign(*design); err != nil {
+			usageErr("unknown design %q (want n, n-1, live, or none)", *design)
 		}
 		sp, err := scheme.Parse(*schemeName)
 		if err != nil {
 			usageErr("%v", err)
 		}
-		iv := *interval
+		c := singleRunConfig{
+			Workload: *workloadName, Design: *design, Scheme: *schemeName, Interval: *interval, Page: *page,
+			Channels: *channels,
+			Records:  *records, Warmup: *warmup, Seed: *seed,
+			Metrics: *metrics, Audit: *audit,
+			Fault: heteromem.FaultConfig{
+				Seed:          *faultSeed,
+				DeviceRate:    *faultDevice,
+				CopyRate:      *faultCopy,
+				BulkRate:      *faultBulk,
+				Schedule:      *faultSchedule,
+				RetryBudget:   *faultRetries,
+				RetryBackoff:  *faultBackoff,
+				RetireAfter:   *faultRetire,
+				DegradeBudget: *faultDegrade,
+			},
+			TraceOut: *traceOut, SeriesOut: *seriesOut,
+			CheckpointOut: *ckOut, CheckpointEvery: *ckEvery, ResumeFrom: *resume,
+		}
 		if sp.IsCache() {
 			// A pure cache scheme runs no migration engine, so the
 			// migration-only flags would be silently meaningless; reject
@@ -265,25 +286,9 @@ func main() {
 					usageErr("-%s does not apply to scheme %s (no migration engine)", name, sp)
 				}
 			}
-			d, migrates, iv = "none", false, 0
-		} else if sp.Kind == scheme.KindMemCache && !migrates {
-			usageErr("scheme %s needs a migrating -design (its memory part runs the paper's migration)", sp)
+			c.Design, c.Interval = "none", 0
 		}
-		if migrates && iv == 0 {
-			usageErr("-interval must be > 0 when migration is enabled")
-		}
-		fcfg := heteromem.FaultConfig{
-			Seed:          *faultSeed,
-			DeviceRate:    *faultDevice,
-			CopyRate:      *faultCopy,
-			BulkRate:      *faultBulk,
-			Schedule:      *faultSchedule,
-			RetryBudget:   *faultRetries,
-			RetryBackoff:  *faultBackoff,
-			RetireAfter:   *faultRetire,
-			DegradeBudget: *faultDegrade,
-		}
-		if err := fcfg.Validate(); err != nil {
+		if _, err := c.config(); err != nil {
 			usageErr("%v", err)
 		}
 		// Profiling brackets the simulation itself; the profile files are
@@ -301,14 +306,7 @@ func main() {
 			}
 			cpuFile = f
 		}
-		runErr := singleRun(ctx, os.Stdout, singleRunConfig{
-			Workload: *workloadName, Design: d, Scheme: *schemeName, Interval: iv, Page: *page,
-			Channels: *channels,
-			Records:  *records, Warmup: *warmup, Seed: *seed,
-			Metrics: *metrics, Audit: *audit, Fault: fcfg,
-			TraceOut: *traceOut, SeriesOut: *seriesOut,
-			CheckpointOut: *ckOut, CheckpointEvery: *ckEvery, ResumeFrom: *resume,
-		})
+		runErr := singleRun(ctx, os.Stdout, c)
 		if cpuFile != nil {
 			pprof.StopCPUProfile()
 			if err := cpuFile.Close(); err != nil {
@@ -544,22 +542,15 @@ func buildCells(workloads, designs, schemes []string, base dsweep.CellSpec) ([]d
 			if err != nil {
 				return nil, err
 			}
+			ds, interval := designs, base.Interval
 			if sp.IsCache() {
-				spec := base
-				spec.Workload = strings.TrimSpace(wl)
-				spec.Design = "none"
-				spec.Interval = 0
-				spec.Scheme = sch
-				if err := spec.Validate(); err != nil {
-					return nil, err
-				}
-				cells = append(cells, spec)
-				continue
+				ds, interval = []string{"none"}, 0
 			}
-			for _, d := range designs {
+			for _, d := range ds {
 				spec := base
 				spec.Workload = strings.TrimSpace(wl)
 				spec.Design = strings.TrimSpace(d)
+				spec.Interval = interval
 				if sch != "" && sch != "migrate" {
 					spec.Scheme = sch
 				}
@@ -745,60 +736,51 @@ type singleRunOutput struct {
 	Result   heteromem.Result
 }
 
-func singleRun(ctx context.Context, w io.Writer, c singleRunConfig) error {
-	d, migrates, err := core.ParseDesign(c.Design)
+// config builds the run's configuration with experiments.CellConfig, the
+// builder of every sweep cell, and checks it as a whole. The resume
+// checkpoint is read only when the run starts.
+func (c singleRunConfig) config() (sim.Config, error) {
+	records := c.Records
+	if records == 0 {
+		records = 1_000_000
+	}
+	cfg, err := experiments.CellConfig(c.Design, c.Scheme, c.Page, c.Interval, c.Channels, records, c.Warmup)
 	if err != nil {
-		return err
+		return sim.Config{}, err
 	}
-	cfg := heteromem.Config{
-		MacroPageSize: c.Page,
-		Scheme:        c.Scheme,
-		Channels:      c.Channels,
-		Warmup:        c.Warmup,
-		Metrics:       c.Metrics,
-		Audit:         c.Audit,
-		Fault:         c.Fault,
-	}
+	cfg.Metrics, cfg.Audit, cfg.Fault = c.Metrics, c.Audit, c.Fault
 	if c.TraceOut != "" {
 		cfg.SpanTrace = 1 << 20
 	}
 	if c.SeriesOut != "" {
 		cfg.EpochSeries = 1 << 16
 	}
-	if migrates {
-		cfg.Migration = heteromem.Migration{Enabled: true, Design: d, SwapInterval: c.Interval}
-	}
-	sys, err := heteromem.New(cfg)
-	if err != nil {
-		return err
-	}
-	records := c.Records
-	if records == 0 {
-		records = 1_000_000
-	}
-	var ck heteromem.Checkpointing
 	if c.CheckpointOut != "" {
-		ck.Every = c.CheckpointEvery
-		ck.Sink = func(data []byte, n uint64) error {
+		cfg.CheckpointEvery = c.CheckpointEvery
+		cfg.CheckpointSink = func(data []byte, n uint64) error {
 			return snap.WriteFile(c.CheckpointOut, data, 0o644)
 		}
 	}
+	return cfg, cfg.Validate()
+}
+
+func singleRun(ctx context.Context, w io.Writer, c singleRunConfig) error {
+	cfg, err := c.config()
+	if err != nil {
+		return err
+	}
 	if c.ResumeFrom != "" {
-		data, err := os.ReadFile(c.ResumeFrom)
-		if err != nil {
+		if cfg.Resume, err = os.ReadFile(c.ResumeFrom); err != nil {
 			return fmt.Errorf("resume: %w", err)
 		}
-		ck.Resume = data
 	}
-	var res heteromem.Result
-	var err2 error
-	if ck.Every > 0 || ck.Resume != nil {
-		res, err2 = sys.RunWorkloadCheckpointedContext(ctx, c.Workload, c.Seed, records, ck)
-	} else {
-		res, err2 = sys.RunWorkloadContext(ctx, c.Workload, c.Seed, records)
+	gen, err := workload.NewMemory(c.Workload, c.Seed)
+	if err != nil {
+		return err
 	}
-	if err2 != nil {
-		return err2
+	res, err := sim.RunContext(ctx, gen, cfg)
+	if err != nil {
+		return err
 	}
 	if c.TraceOut != "" {
 		if err := writeTraceFile(c.TraceOut, res.Spans); err != nil {

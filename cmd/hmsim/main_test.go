@@ -551,13 +551,73 @@ func TestSingleRunScheme(t *testing.T) {
 	}
 }
 
+// TestSingleRunMatchesLibrary checks that a single run, built by the sweep
+// cells' experiments.CellConfig, simulates what the library's
+// heteromem.New builds from the same choices: the JSON Result must match
+// RunWorkload's byte for byte, for every valid design and scheme pair on
+// one and two channels.
+func TestSingleRunMatchesLibrary(t *testing.T) {
+	for _, tc := range []struct {
+		design, scheme string
+		lib            heteromem.Migration
+	}{
+		{"live", "migrate", heteromem.Migration{Enabled: true, Design: heteromem.DesignLive, SwapInterval: 1000}},
+		{"n-1", "migrate", heteromem.Migration{Enabled: true, Design: heteromem.DesignN1, SwapInterval: 1000}},
+		{"none", "migrate", heteromem.Migration{}},
+		{"none", "alloy-pred", heteromem.Migration{}},
+		{"live", "memcache:25", heteromem.Migration{Enabled: true, Design: heteromem.DesignLive, SwapInterval: 1000}},
+		{"n-1", "memcache:25", heteromem.Migration{Enabled: true, Design: heteromem.DesignN1, SwapInterval: 1000}},
+	} {
+		for _, channels := range []int{1, 2} {
+			name := fmt.Sprintf("%s/%s/c%d", tc.design, tc.scheme, channels)
+			const records, page = 30_000, 64 * heteromem.KiB
+			var buf bytes.Buffer
+			if err := singleRun(context.Background(), &buf, singleRunConfig{
+				Workload: "SPECjbb", Design: tc.design, Scheme: tc.scheme, Interval: 1000, Page: page,
+				Channels: channels, Records: records, Warmup: records / 3, Seed: 2,
+			}); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			var out struct{ Result json.RawMessage }
+			if err := json.Unmarshal(buf.Bytes(), &out); err != nil {
+				t.Fatal(err)
+			}
+			var got bytes.Buffer
+			if err := json.Compact(&got, out.Result); err != nil {
+				t.Fatal(err)
+			}
+			sys, err := heteromem.New(heteromem.Config{
+				MacroPageSize: page, Migration: tc.lib, Scheme: tc.scheme,
+				Channels: channels, Warmup: records / 3,
+			})
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			res, err := sys.RunWorkload("SPECjbb", 2, records)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			want, err := json.Marshal(res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Bytes(), want) {
+				t.Errorf("%s: single run diverged from the library:\n got %s\nwant %s", name, got.Bytes(), want)
+			}
+		}
+	}
+}
+
 // TestMainSchemeUsageErrors re-executes main() with flag combinations that
 // must die as usage errors (exit 2): a pure cache scheme combined with
 // migration-only flags, an unknown scheme or workload name, and a
 // -workloads list with an unknown name or with no name a single -exp runs
-// over. memcache keeps the migration engine, so the same flags must be
-// accepted there, and -exp all skips the drivers -workloads does not fit
-// (the runs are kept tiny and merely have to get past flag validation).
+// over, and configurations no run can take (a channel count no hub can
+// build, a page that is not a power of two, checkpoints with metrics),
+// which every mode rejects before it simulates. memcache keeps the
+// migration engine, so the same flags must be accepted there, and -exp all
+// skips the drivers -workloads does not fit (the runs are kept tiny and
+// merely have to get past flag validation).
 func TestMainSchemeUsageErrors(t *testing.T) {
 	if args := os.Getenv("HMSIM_SCHEME_HELPER"); args != "" {
 		os.Args = append([]string{"hmsim"}, strings.Split(args, " ")...)
@@ -587,6 +647,8 @@ func TestMainSchemeUsageErrors(t *testing.T) {
 		}
 		return exitErr.ExitCode(), stderr.String()
 	}
+	dir := t.TempDir()
+	ckOut := filepath.Join(dir, "ck.bin")
 	for _, args := range []string{
 		"-workload pgbench -scheme alloy -design live",
 		"-workload pgbench -scheme alloy -interval 500",
@@ -599,10 +661,18 @@ func TestMainSchemeUsageErrors(t *testing.T) {
 		"-exp all -workloads bogus",
 		"-exp fig4 -workloads pgbench", // fig4 runs over NPB programs
 		"-exp table4 -workloads EP.C",  // table4 runs over memory workloads
+		"-workload pgbench -page 3000",
+		"-workload pgbench -channels 3",
+		"-workload pgbench -metrics -checkpoint-out " + ckOut + " -checkpoint-every 1000",
+		"-exp table4 -channels 3",
+		"-coordinate 127.0.0.1:0 -manifest " + filepath.Join(dir, "sweep.jsonl") + " -channels 3",
 	} {
 		if code, errOut := run(args); code != 2 {
 			t.Errorf("%s: exit %d (stderr %q), want usage error 2", args, code, errOut)
 		}
+	}
+	if _, err := os.Stat(ckOut); !os.IsNotExist(err) {
+		t.Errorf("a rejected checkpointed run wrote %s (stat: %v)", ckOut, err)
 	}
 	// memcache keeps the migration machinery: the same flags validate.
 	if code, errOut := run("-workload pgbench -scheme memcache -design live -interval 1000 -audit -records 20000"); code != 0 {

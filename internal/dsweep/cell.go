@@ -48,14 +48,12 @@ func (c CellSpec) Validate() error {
 }
 
 // Config deterministically reconstructs the cell's simulation
-// configuration: the experiment drivers' experiments.CellConfig, sharded
-// over the cell's channel count.
+// configuration with the experiment drivers' experiments.CellConfig.
 func (c CellSpec) Config() (sim.Config, error) {
-	cfg, err := experiments.CellConfig(c.Design, c.Scheme, c.PageSize, c.Interval, c.Records, c.Warmup)
+	cfg, err := experiments.CellConfig(c.Design, c.Scheme, c.PageSize, c.Interval, c.Channels, c.Records, c.Warmup)
 	if err != nil {
 		return sim.Config{}, fmt.Errorf("dsweep: cell %s: %w", c.Workload, err)
 	}
-	cfg.Channels = c.Channels
 	return cfg, nil
 }
 

@@ -199,11 +199,10 @@ func traceConfig(pageSize uint64, mig *core.Options, records, warmup uint64) sim
 
 // CellConfig builds a Section IV configuration from names: a migration
 // design (a core.ParseDesign name; "" means none), an on-package scheme (a
-// scheme.Parse name; "" means migrate) and the macro page size (0 means
-// the Table III default). A cache scheme takes no design, memcache needs
-// one, a migrating design needs a swap interval, and the geometry must
-// validate.
-func CellConfig(design, schemeName string, page, interval, records, warmup uint64) (sim.Config, error) {
+// scheme.Parse name; "" means migrate), the macro page size (0 means the
+// Table III default) and the channel count (0 or 1 means one channel).
+// The config must pass sim.Config.Validate.
+func CellConfig(design, schemeName string, page, interval uint64, channels int, records, warmup uint64) (sim.Config, error) {
 	d, migrates, err := core.ParseDesign(design)
 	if err != nil && design != "" {
 		return sim.Config{}, err
@@ -211,14 +210,6 @@ func CellConfig(design, schemeName string, page, interval, records, warmup uint6
 	sp, err := scheme.Parse(schemeName)
 	if err != nil {
 		return sim.Config{}, err
-	}
-	switch {
-	case sp.IsCache() && migrates:
-		return sim.Config{}, fmt.Errorf("experiments: scheme %s takes no migration design (got %q)", sp, design)
-	case sp.Kind == scheme.KindMemCache && !migrates:
-		return sim.Config{}, fmt.Errorf("experiments: scheme %s needs a migration design", sp)
-	case migrates && interval == 0:
-		return sim.Config{}, fmt.Errorf("experiments: design %q needs a swap interval", design)
 	}
 	if page == 0 {
 		page = sim.Default().Geometry.MacroPageSize
@@ -229,7 +220,8 @@ func CellConfig(design, schemeName string, page, interval, records, warmup uint6
 	}
 	cfg := traceConfig(page, mig, records, warmup)
 	cfg.Scheme = sp
-	if err := cfg.Geometry.Validate(); err != nil {
+	cfg.Channels = channels
+	if err := cfg.Validate(); err != nil {
 		return sim.Config{}, err
 	}
 	return cfg, nil

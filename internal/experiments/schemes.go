@@ -73,7 +73,7 @@ func SchemesData(ctx context.Context, p Params) ([]SchemesRow, error) {
 	// Per workload: the static baseline, then one run per variant.
 	cfgs := []sim.Config{traceConfig(sim.Default().Geometry.MacroPageSize, nil, records, warm)}
 	for _, v := range SchemeVariants {
-		cfg, err := CellConfig(v.Design, v.Scheme, 0, v.Interval, records, warm)
+		cfg, err := CellConfig(v.Design, v.Scheme, 0, v.Interval, 0, records, warm)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: scheme variant %s: %w", v.Label(), err)
 		}

@@ -21,6 +21,7 @@ import (
 	"fmt"
 
 	"heteromem/internal/addr"
+	"heteromem/internal/config"
 	"heteromem/internal/fault"
 	"heteromem/internal/obs"
 	"heteromem/internal/power"
@@ -33,22 +34,20 @@ import (
 // paper's Table II interconnect components.
 const DefaultHopLatency = 8
 
-// HubConfig shapes the multi-channel hub.
+// HubConfig shapes the multi-channel hub. Sharding is the rule for
+// Channels, Interleave and HopLatency, and fills in their defaults.
 type HubConfig struct {
-	// Channels is the number of controller shards (a positive power of
-	// two; 0 and 1 both mean a single, non-sharded controller).
+	// Channels is the number of controller shards (0 and 1 both mean a
+	// single, non-sharded controller).
 	Channels int
 
-	// Interleave is the channel-striping granularity in bytes. 0 defaults
-	// to the macro page size; any value must be a power-of-two multiple of
-	// the macro page size so a macro page — the migration unit — lives
-	// wholly inside one shard.
+	// Interleave is the channel-striping granularity in bytes, a multiple
+	// of the macro page size so a page — the migration unit — lives wholly
+	// inside one shard.
 	Interleave uint64
 
 	// HopLatency is the fixed cross-channel interconnect hop in cycles,
-	// charged at the start of every swap copy read leg. 0 selects
-	// DefaultHopLatency when Channels > 1; single-channel hubs never
-	// charge a hop.
+	// charged at the start of every swap copy read leg.
 	HopLatency int64
 
 	// ShardObs optionally gives each shard its own observability registry
@@ -65,21 +64,69 @@ type HubConfig struct {
 type Hub struct {
 	ctrls []*Controller
 	iv    addr.Interleave
-	hop   int64
 }
 
-// NewHub builds the hub. With hubCfg.Channels <= 1 the result wraps exactly
-// one Controller built from cfg unchanged. With N > 1, cfg.Geometry is
-// split N ways (capacities divide, device structure per shard unchanged)
-// and cfg.Obs/cfg.Power must be unset — per-shard instruments come from
-// HubConfig so shards never share mutable state. onResult, when non-nil,
-// observes every completed access; under sharding its AccessResult carries
-// the globalized physical address and the shard-local machine address.
-func NewHub(cfg Config, hubCfg HubConfig, onResult func(AccessResult)) (*Hub, error) {
-	n := hubCfg.Channels
-	if n <= 0 {
-		n = 1
+// Sharding is the rule for a channel layout over geometry g. It returns hc
+// with the effective values: 0 or 1 channels is one channel with no
+// interleave and no hop; a sharded layout defaults the interleave to the
+// macro page size and the hop to DefaultHopLatency. The error names a
+// layout no hub can build: a channel count that is not a power of two, an
+// interleave that is not a power-of-two multiple of the page, or a stripe
+// that does not divide both capacities. The values are defaulted even
+// then, so a rejected config still digests deterministically.
+func Sharding(g config.MemoryGeometry, hc HubConfig) (HubConfig, error) {
+	n := hc.Channels
+	if n <= 1 {
+		hc.Channels, hc.Interleave, hc.HopLatency = 1, 0, 0
+		if n < 0 {
+			return hc, fmt.Errorf("memctrl: channel count %d must be a power of two (0 or 1 for one channel)", n)
+		}
+		return hc, nil
 	}
+	if hc.Interleave == 0 {
+		hc.Interleave = g.MacroPageSize
+	}
+	if hc.HopLatency == 0 {
+		hc.HopLatency = DefaultHopLatency
+	}
+	if n&(n-1) != 0 {
+		return hc, fmt.Errorf("memctrl: channel count %d must be a power of two (0 or 1 for one channel)", n)
+	}
+	if g.MacroPageSize == 0 || hc.Interleave%g.MacroPageSize != 0 {
+		return hc, fmt.Errorf("memctrl: interleave %d must be a multiple of the macro page size %d (a page must live in one shard)", hc.Interleave, g.MacroPageSize)
+	}
+	// NewInterleave bounds the channel field to the physical address bits,
+	// so the stripe below cannot overflow.
+	iv, err := addr.NewInterleave(n, hc.Interleave)
+	if err != nil {
+		return hc, fmt.Errorf("memctrl: %w", err)
+	}
+	// Both region boundaries must fall on whole stripes so that stripping
+	// the channel bits maps the global on-package region [0, OnCap) exactly
+	// onto every shard's local [0, OnCap/n) — the shard-local static split
+	// then equals the global one.
+	stripe := iv.Granularity() * uint64(n)
+	if g.OnPackageCapacity%stripe != 0 || g.TotalCapacity%stripe != 0 {
+		return hc, fmt.Errorf("memctrl: capacities (%d on, %d total) must be multiples of the %d-byte stripe of %d channels",
+			g.OnPackageCapacity, g.TotalCapacity, stripe, n)
+	}
+	return hc, nil
+}
+
+// NewHub builds the hub over the layout Sharding resolves. With one
+// channel the result wraps exactly one Controller built from cfg
+// unchanged. With N > 1, cfg.Geometry is split N ways (capacities divide,
+// device structure per shard unchanged) and cfg.Obs/cfg.Power must be
+// unset — per-shard instruments come from HubConfig so shards never share
+// mutable state. onResult, when non-nil, observes every completed access;
+// under sharding its AccessResult carries the globalized physical address
+// and the shard-local machine address.
+func NewHub(cfg Config, hubCfg HubConfig, onResult func(AccessResult)) (*Hub, error) {
+	hubCfg, err := Sharding(cfg.Geometry, hubCfg)
+	if err != nil {
+		return nil, err
+	}
+	n := hubCfg.Channels
 	if n == 1 {
 		ctrl, err := New(cfg, onResult)
 		if err != nil {
@@ -91,25 +138,9 @@ func NewHub(cfg Config, hubCfg HubConfig, onResult func(AccessResult)) (*Hub, er
 		}
 		return &Hub{ctrls: []*Controller{ctrl}, iv: iv}, nil
 	}
-	gran := hubCfg.Interleave
-	if gran == 0 {
-		gran = cfg.Geometry.MacroPageSize
-	}
-	if gran%cfg.Geometry.MacroPageSize != 0 {
-		return nil, fmt.Errorf("memctrl: interleave %d must be a multiple of the macro page size %d (a page must live in one shard)", gran, cfg.Geometry.MacroPageSize)
-	}
-	iv, err := addr.NewInterleave(n, gran)
+	iv, err := addr.NewInterleave(n, hubCfg.Interleave)
 	if err != nil {
 		return nil, fmt.Errorf("memctrl: %w", err)
-	}
-	stripe := gran * uint64(n)
-	// Both region boundaries must fall on whole stripes so that stripping
-	// the channel bits maps the global on-package region [0, OnCap) exactly
-	// onto every shard's local [0, OnCap/n) — the shard-local static split
-	// then equals the global one.
-	if cfg.Geometry.OnPackageCapacity%stripe != 0 || cfg.Geometry.TotalCapacity%stripe != 0 {
-		return nil, fmt.Errorf("memctrl: capacities (%d on, %d total) must be multiples of the %d-byte channel stripe",
-			cfg.Geometry.OnPackageCapacity, cfg.Geometry.TotalCapacity, stripe)
 	}
 	if cfg.Obs != nil || cfg.Power != nil {
 		return nil, fmt.Errorf("memctrl: sharded hub requires per-shard instruments (HubConfig.ShardObs/ShardPower), not shared Config.Obs/Power")
@@ -124,15 +155,11 @@ func NewHub(cfg Config, hubCfg HubConfig, onResult func(AccessResult)) (*Hub, er
 	if err != nil {
 		return nil, fmt.Errorf("memctrl: %w", err)
 	}
-	hop := hubCfg.HopLatency
-	if hop == 0 {
-		hop = DefaultHopLatency
-	}
-	h := &Hub{ctrls: make([]*Controller, n), iv: iv, hop: hop}
+	h := &Hub{ctrls: make([]*Controller, n), iv: iv}
 	for i := 0; i < n; i++ {
 		scfg := cfg
 		scfg.Geometry = shardGeom
-		scfg.CopyHop = hop
+		scfg.CopyHop = hubCfg.HopLatency
 		if hubCfg.ShardObs != nil {
 			scfg.Obs = hubCfg.ShardObs[i]
 		}
@@ -161,13 +188,6 @@ func (h *Hub) Channels() int { return len(h.ctrls) }
 
 // Interleave returns the channel-routing mapping.
 func (h *Hub) Interleave() addr.Interleave { return h.iv }
-
-// Mapping returns the hub's routing decode as a full bit-field mapping.
-func (h *Hub) Mapping() *addr.Mapping { return h.iv.Mapping() }
-
-// HopLatency returns the effective cross-channel hop (0 for a single
-// channel).
-func (h *Hub) HopLatency() int64 { return h.hop }
 
 // Shard exposes channel i's controller (the sim's run loop drives shards
 // directly: a single channel inline, more through workers that route their

@@ -2,6 +2,7 @@ package memctrl
 
 import (
 	"encoding/json"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -59,8 +60,8 @@ func TestHubSingleChannelDelegates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hub.Channels() != 1 || hub.HopLatency() != 0 {
-		t.Fatalf("single hub: channels=%d hop=%d", hub.Channels(), hub.HopLatency())
+	if hub.Channels() != 1 {
+		t.Fatalf("single hub: channels=%d", hub.Channels())
 	}
 	for _, r := range hubTrace(30_000, cfg.Geometry.TotalCapacity) {
 		if err := bare.Access(r.a, r.write, r.cycle); err != nil {
@@ -96,7 +97,7 @@ func TestHubRoutingMatchesInterleave(t *testing.T) {
 			t.Fatalf("Global(%d, %#x) = %#x, want %#x", ch, local, back, a)
 		}
 	}
-	if m := hub.Mapping(); m.ChannelOf(5*gran) != 1 {
+	if m := hub.Interleave().Mapping(); m.ChannelOf(5*gran) != 1 {
 		t.Fatal("Mapping disagrees with Interleave routing")
 	}
 }
@@ -211,9 +212,52 @@ func TestHubShardObsIsolated(t *testing.T) {
 	}
 }
 
+// TestSharding covers the layout rule NewHub, the config digest and
+// sim.Config.Validate share: effective values for every layout, and an
+// error, never a panic, for any channel count no hub can build.
+func TestSharding(t *testing.T) {
+	g := hubConfig().Geometry
+	page := g.MacroPageSize
+	for _, tc := range []struct {
+		in   HubConfig
+		want HubConfig
+		ok   bool
+	}{
+		{HubConfig{}, HubConfig{Channels: 1}, true},
+		{HubConfig{Channels: 1, Interleave: 3, HopLatency: 5}, HubConfig{Channels: 1}, true},
+		{HubConfig{Channels: 2}, HubConfig{Channels: 2, Interleave: page, HopLatency: DefaultHopLatency}, true},
+		{HubConfig{Channels: 4, Interleave: 2 * page, HopLatency: 3}, HubConfig{Channels: 4, Interleave: 2 * page, HopLatency: 3}, true},
+		{HubConfig{Channels: -1}, HubConfig{Channels: 1}, false},
+		{HubConfig{Channels: 3}, HubConfig{Channels: 3, Interleave: page, HopLatency: DefaultHopLatency}, false},
+		{HubConfig{Channels: 1024}, HubConfig{Channels: 1024, Interleave: page, HopLatency: DefaultHopLatency}, false},
+		{HubConfig{Channels: 1 << 62}, HubConfig{Channels: 1 << 62, Interleave: page, HopLatency: DefaultHopLatency}, false},
+		{HubConfig{Channels: math.MaxInt}, HubConfig{Channels: math.MaxInt, Interleave: page, HopLatency: DefaultHopLatency}, false},
+		{HubConfig{Channels: math.MinInt}, HubConfig{Channels: 1}, false},
+		{HubConfig{Channels: 2, Interleave: page / 2}, HubConfig{Channels: 2, Interleave: page / 2, HopLatency: DefaultHopLatency}, false},
+		{HubConfig{Channels: 2, Interleave: 3 * page}, HubConfig{Channels: 2, Interleave: 3 * page, HopLatency: DefaultHopLatency}, false},
+		{HubConfig{Channels: 2, Interleave: 1 << 63}, HubConfig{Channels: 2, Interleave: 1 << 63, HopLatency: DefaultHopLatency}, false},
+	} {
+		got, err := Sharding(g, tc.in)
+		if (err == nil) != tc.ok {
+			t.Errorf("Sharding(%+v): err %v, want ok=%v", tc.in, err, tc.ok)
+		}
+		if got.Channels != tc.want.Channels || got.Interleave != tc.want.Interleave || got.HopLatency != tc.want.HopLatency {
+			t.Errorf("Sharding(%+v) = %+v, want %+v", tc.in, got, tc.want)
+		}
+	}
+	zero := g
+	zero.MacroPageSize = 0
+	if _, err := Sharding(zero, HubConfig{Channels: 2}); err == nil {
+		t.Error("zero macro page accepted")
+	}
+}
+
 // TestHubValidation covers the layout rules in one place.
 func TestHubValidation(t *testing.T) {
 	cfg := hubConfig()
+	if _, err := NewHub(cfg, HubConfig{Channels: -1}, nil); err == nil {
+		t.Fatal("channels=-1 accepted")
+	}
 	if _, err := NewHub(cfg, HubConfig{Channels: 3}, nil); err == nil {
 		t.Fatal("channels=3 accepted")
 	}

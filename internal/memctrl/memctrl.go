@@ -66,9 +66,9 @@ type Config struct {
 
 	// Scheme selects the on-package capacity policy (internal/scheme).
 	// The zero value is the paper's migration scheme and leaves every code
-	// path byte-identical to pre-scheme builds. The cache kinds (alloy,
-	// cachemode) require Migration == nil and Audit off; memcache requires
-	// Migration and runs it over the memory share of the capacity.
+	// path byte-identical to pre-scheme builds. Scheme.CheckMigration
+	// says which Migration and Audit settings it takes; memcache runs
+	// Migration over the memory share of the capacity.
 	Scheme scheme.Spec
 
 	// OSAssisted charges the OS epoch overhead (user/kernel switch) on
@@ -309,16 +309,13 @@ func New(cfg Config, onResult func(AccessResult)) (*Controller, error) {
 	if err := cfg.Scheme.Validate(); err != nil {
 		return nil, fmt.Errorf("memctrl: %w", err)
 	}
+	if err := cfg.Scheme.CheckMigration(cfg.Migration != nil, cfg.Audit); err != nil {
+		return nil, fmt.Errorf("memctrl: %w", err)
+	}
 	c.onCap = g.OnPackageCapacity
 	c.migSlots = uint64(g.OnPackageSlots())
 	switch cfg.Scheme.Kind {
 	case scheme.KindAlloy, scheme.KindCacheMode:
-		if cfg.Migration != nil {
-			return nil, fmt.Errorf("memctrl: scheme %s manages the on-package capacity as a cache; migration does not apply", cfg.Scheme)
-		}
-		if cfg.Audit {
-			return nil, fmt.Errorf("memctrl: scheme %s has no translation table to audit", cfg.Scheme)
-		}
 		if cfg.Scheme.Kind == scheme.KindAlloy {
 			a, aerr := scheme.NewAlloy(cfg.Scheme, g.OnPackageCapacity, 0, g.BurstBytes)
 			if aerr != nil {
@@ -333,9 +330,6 @@ func New(cfg Config, onResult func(AccessResult)) (*Controller, error) {
 			c.cache = tc
 		}
 	case scheme.KindMemCache:
-		if cfg.Migration == nil {
-			return nil, fmt.Errorf("memctrl: scheme %s runs its memory part under migration; Migration options are required", cfg.Scheme)
-		}
 		mc, merr := scheme.NewMemCache(cfg.Scheme, g.OnPackageCapacity, g.MacroPageSize, g.BurstBytes)
 		if merr != nil {
 			return nil, fmt.Errorf("memctrl: %w", merr)

@@ -178,6 +178,22 @@ func (sp Spec) Validate() error {
 // a cache (no migration engine at all).
 func (sp Spec) IsCache() bool { return sp.Kind == KindAlloy || sp.Kind == KindCacheMode }
 
+// CheckMigration is the scheme's rule for the migration engine: a cache
+// scheme runs none, so it takes no migration and has no translation table
+// to audit; memcache runs its memory share under migration, so it needs
+// one.
+func (sp Spec) CheckMigration(migrates, audit bool) error {
+	switch {
+	case sp.IsCache() && migrates:
+		return fmt.Errorf("scheme: %s manages the on-package capacity as a cache; migration does not apply", sp)
+	case sp.IsCache() && audit:
+		return fmt.Errorf("scheme: %s has no translation table to audit", sp)
+	case sp.Kind == KindMemCache && !migrates:
+		return fmt.Errorf("scheme: %s runs its memory share under migration; a migration design is required", sp)
+	}
+	return nil
+}
+
 // Stats counts scheme-level events. All fields are cumulative.
 type Stats struct {
 	Accesses   uint64 // lookups routed through the cache engine

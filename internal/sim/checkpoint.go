@@ -47,10 +47,11 @@ func ConfigDigest(cfg Config) uint64 {
 		cfg.Migration != nil, mig, cfg.OSAssisted, cfg.Sched, cfg.MeterPower,
 		cfg.Warmup, cfg.Fault)
 	// Channel sharding shapes the state stream; the digest uses the
-	// effective (defaulted) values so equivalent spellings — Channels 0 vs
-	// 1, explicit vs defaulted interleave/hop — resume interchangeably.
-	ch, il, hop := effectiveSharding(cfg)
-	fmt.Fprintf(h, "|%d|%d|%d", ch, il, hop)
+	// effective values the hub is built with, so equivalent spellings —
+	// Channels 0 vs 1, explicit vs defaulted interleave/hop — resume
+	// interchangeably.
+	sh, _ := memctrl.Sharding(cfg.Geometry, cfg.hubConfig())
+	fmt.Fprintf(h, "|%d|%d|%d", sh.Channels, sh.Interleave, sh.HopLatency)
 	// The scheme is appended only when non-default so every pre-scheme
 	// digest (and the checkpoints and sweep manifests keyed on it) is
 	// unchanged for default-scheme runs.
@@ -58,43 +59,6 @@ func ConfigDigest(cfg Config) uint64 {
 		fmt.Fprintf(h, "|scheme=%s", cfg.Scheme)
 	}
 	return h.Sum64()
-}
-
-// effectiveSharding normalizes the sharding knobs: a single channel has no
-// interleave or hop, and a sharded run fills in the defaults the hub would.
-func effectiveSharding(cfg Config) (channels int, interleave uint64, hop int64) {
-	channels = cfg.Channels
-	if channels < 1 {
-		channels = 1
-	}
-	if channels == 1 {
-		return 1, 0, 0
-	}
-	interleave = cfg.InterleaveBytes
-	if interleave == 0 {
-		interleave = cfg.Geometry.MacroPageSize
-	}
-	hop = cfg.HopLatency
-	if hop == 0 {
-		hop = memctrl.DefaultHopLatency
-	}
-	return channels, interleave, hop
-}
-
-// checkpointIncompatible reports which observability feature blocks
-// checkpointing, if any. Observability registries and rings are
-// deliberately not serialized (they are diagnostic, unbounded, and not part
-// of the equivalence contract), so a checkpointed run must not collect them.
-func checkpointIncompatible(cfg Config) error {
-	switch {
-	case cfg.Metrics:
-		return fmt.Errorf("sim: checkpointing is incompatible with Metrics collection")
-	case cfg.SpanTrace > 0:
-		return fmt.Errorf("sim: checkpointing is incompatible with SpanTrace collection")
-	case cfg.EpochSeries > 0:
-		return fmt.Errorf("sim: checkpointing is incompatible with EpochSeries collection")
-	}
-	return nil
 }
 
 // meta is a checkpoint's meta section: the configuration digest, the

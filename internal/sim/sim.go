@@ -57,12 +57,11 @@ type Config struct {
 	// and the run executes deterministically in parallel — one goroutine
 	// per channel, each simulating its own channel's records of every
 	// trace batch (see shardWorkers). 0 and 1 both mean the classic single
-	// controller; values > 1 must be powers of two and divide both
-	// capacities into whole-stripe shards.
+	// controller; memctrl.Sharding is the rule for every layout.
 	Channels int
 
 	// InterleaveBytes is the channel-striping granularity (0 = the macro
-	// page size). Must be a power-of-two multiple of the macro page size.
+	// page size).
 	InterleaveBytes uint64
 
 	// HopLatency is the cross-channel interconnect hop in cycles charged
@@ -130,6 +129,57 @@ type Config struct {
 	Resume []byte
 }
 
+// Validate applies every rule of a run configuration that needs no trace:
+// the geometry, the scheme's rule for migration and audit
+// (scheme.Spec.CheckMigration), a positive swap interval under migration,
+// the channel layout (memctrl.Sharding), the fault config, and that a
+// checkpointed or resumed run collects no observability (its registries
+// and rings are not serialized). RunContext calls it first; every entry
+// point that builds a config calls it to reject a bad one before anything
+// runs.
+func (cfg *Config) Validate() error {
+	if err := cfg.Geometry.Validate(); err != nil {
+		return err
+	}
+	if err := cfg.Scheme.Validate(); err != nil {
+		return err
+	}
+	if err := cfg.Scheme.CheckMigration(cfg.Migration != nil, cfg.Audit); err != nil {
+		return err
+	}
+	if cfg.Migration != nil && cfg.Migration.SwapInterval == 0 {
+		return fmt.Errorf("sim: migration needs a swap interval above zero")
+	}
+	if _, err := memctrl.Sharding(cfg.Geometry, cfg.hubConfig()); err != nil {
+		return err
+	}
+	if err := cfg.Fault.Validate(); err != nil {
+		return err
+	}
+	if cfg.CheckpointEvery > 0 || cfg.Resume != nil {
+		switch {
+		case cfg.Metrics:
+			return fmt.Errorf("sim: checkpointing is incompatible with Metrics collection")
+		case cfg.SpanTrace > 0:
+			return fmt.Errorf("sim: checkpointing is incompatible with SpanTrace collection")
+		case cfg.EpochSeries > 0:
+			return fmt.Errorf("sim: checkpointing is incompatible with EpochSeries collection")
+		}
+	}
+	return nil
+}
+
+// observed reports whether the run collects observability: metrics, spans
+// or the epoch series.
+func (cfg *Config) observed() bool {
+	return cfg.Metrics || cfg.SpanTrace > 0 || cfg.EpochSeries > 0
+}
+
+// hubConfig is the run's channel layout as the hub takes it.
+func (cfg *Config) hubConfig() memctrl.HubConfig {
+	return memctrl.HubConfig{Channels: cfg.Channels, Interleave: cfg.InterleaveBytes, HopLatency: cfg.HopLatency}
+}
+
 // Default fills in the Table II/III defaults for anything left zero.
 func Default() Config {
 	return Config{
@@ -186,11 +236,10 @@ type Result struct {
 // collects metrics and power meters when it meters power.
 func newHub(cfg Config) (*memctrl.Hub, []*obs.Registry, []*power.Meter, error) {
 	n := max(cfg.Channels, 1)
-	observed := cfg.Metrics || cfg.SpanTrace > 0 || cfg.EpochSeries > 0
 	regs := make([]*obs.Registry, n)
 	meters := make([]*power.Meter, n)
 	for i := 0; i < n; i++ {
-		if observed {
+		if cfg.observed() {
 			// Each Enable is a no-op for a non-positive capacity.
 			regs[i] = obs.NewRegistry()
 			regs[i].EnableSpans(cfg.SpanTrace)
@@ -212,7 +261,7 @@ func newHub(cfg Config) (*memctrl.Hub, []*obs.Registry, []*power.Meter, error) {
 		Audit:      cfg.Audit,
 		Fault:      cfg.Fault,
 	}
-	hubCfg := memctrl.HubConfig{Channels: n, Interleave: cfg.InterleaveBytes, HopLatency: cfg.HopLatency}
+	hubCfg := cfg.hubConfig()
 	if n == 1 {
 		// A single-channel hub is a bare controller and takes its
 		// instruments from the controller config.
@@ -274,13 +323,9 @@ func RunContext(ctx context.Context, src trace.Source, cfg Config) (Result, erro
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if cfg.CheckpointEvery > 0 || cfg.Resume != nil {
-		if err := checkpointIncompatible(cfg); err != nil {
-			return Result{}, err
-		}
+	if err := cfg.Validate(); err != nil {
+		return Result{}, err
 	}
-	n := max(cfg.Channels, 1)
-	observed := cfg.Metrics || cfg.SpanTrace > 0 || cfg.EpochSeries > 0
 	hub, regs, meters, err := newHub(cfg)
 	if err != nil {
 		return Result{}, err
@@ -302,7 +347,7 @@ func RunContext(ctx context.Context, src trace.Source, cfg Config) (Result, erro
 	var pool [2]trace.Batch
 	cur := 0 // the pooled batch the loop decodes into next
 	var workers *shardWorkers
-	if n > 1 {
+	if hub.Channels() > 1 {
 		workers = startShardWorkers(hub)
 		defer workers.stop()
 		for i := range pool {
@@ -377,9 +422,9 @@ func RunContext(ctx context.Context, src trace.Source, cfg Config) (Result, erro
 	// one channel the fold is an exact copy: merging one snapshot recomputes
 	// the same means, and adding one meter to a fresh one adds 0 + x.
 	var res Result
-	if observed {
+	if cfg.observed() {
 		hub.PublishObs()
-		snaps := make([]*obs.Snapshot, n)
+		snaps := make([]*obs.Snapshot, len(regs))
 		for i, reg := range regs {
 			snaps[i] = reg.Snapshot()
 		}
