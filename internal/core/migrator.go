@@ -32,6 +32,16 @@ func (d Design) String() string {
 	}
 }
 
+// Validate rejects a design other than N, N-1 and Live: the plan builder
+// and the translation table would run any other value as N-1.
+func (d Design) Validate() error {
+	switch d {
+	case DesignN, DesignN1, DesignLive:
+		return nil
+	}
+	return fmt.Errorf("core: unknown migration design %v (want N, N-1 or Live)", d)
+}
+
 // ParseDesign maps a design name, in any letter case, to its design: n,
 // n-1 (or n1), live, or none (or static), for which migrates is false.
 func ParseDesign(name string) (d Design, migrates bool, err error) {
@@ -182,6 +192,9 @@ type Migrator struct {
 // NewMigrator validates opt and builds the controller with the identity
 // initial mapping (lowest memory on-package).
 func NewMigrator(opt Options) (*Migrator, error) {
+	if err := opt.Design.Validate(); err != nil {
+		return nil, err
+	}
 	if opt.SwapInterval == 0 {
 		return nil, fmt.Errorf("core: swap interval must be positive")
 	}

@@ -287,6 +287,25 @@ func TestMigratorOptionValidation(t *testing.T) {
 	}
 }
 
+// TestNewMigratorRejectsUnknownDesign: the plan builder and the table run
+// every design but N as N-1, so a value outside the three would silently
+// simulate N-1.
+func TestNewMigratorRejectsUnknownDesign(t *testing.T) {
+	opt := Options{Slots: 8, TotalPages: 64, PageSize: 64 << 10, SubBlockSize: 4 << 10, SwapInterval: 10}
+	for _, d := range []Design{DesignN, DesignN1, DesignLive} {
+		opt.Design = d
+		if _, err := NewMigrator(opt); err != nil {
+			t.Errorf("%v: %v", d, err)
+		}
+	}
+	for _, d := range []Design{Design(3), Design(7), Design(-1)} {
+		opt.Design = d
+		if _, err := NewMigrator(opt); err == nil {
+			t.Errorf("NewMigrator accepted %v", d)
+		}
+	}
+}
+
 func TestMigratorVictimPolicies(t *testing.T) {
 	for _, pol := range []VictimPolicy{VictimClockPLRU, VictimRandom, VictimFIFO} {
 		m, err := NewMigrator(Options{

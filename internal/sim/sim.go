@@ -131,7 +131,8 @@ type Config struct {
 
 // Validate applies every rule of a run configuration that needs no trace:
 // the geometry, the scheme's rule for migration and audit
-// (scheme.Spec.CheckMigration), a positive swap interval under migration,
+// (scheme.Spec.CheckMigration), a known design (N, N-1 or Live) and a
+// positive swap interval under migration,
 // the channel layout (memctrl.Sharding), the fault config, and that a
 // checkpointed or resumed run collects no observability (its registries
 // and rings are not serialized). RunContext calls it first; every entry
@@ -147,8 +148,13 @@ func (cfg *Config) Validate() error {
 	if err := cfg.Scheme.CheckMigration(cfg.Migration != nil, cfg.Audit); err != nil {
 		return err
 	}
-	if cfg.Migration != nil && cfg.Migration.SwapInterval == 0 {
-		return fmt.Errorf("sim: migration needs a swap interval above zero")
+	if cfg.Migration != nil {
+		if err := cfg.Migration.Design.Validate(); err != nil {
+			return err
+		}
+		if cfg.Migration.SwapInterval == 0 {
+			return fmt.Errorf("sim: migration needs a swap interval above zero")
+		}
 	}
 	if _, err := memctrl.Sharding(cfg.Geometry, cfg.hubConfig()); err != nil {
 		return err

@@ -38,6 +38,8 @@ func TestConfigValidate(t *testing.T) {
 		{"cache scheme with audit", func(c *Config) { c.Scheme = alloy; c.Audit = true }, false},
 		{"memcache without migration", func(c *Config) { c.Scheme = scheme.Spec{Kind: scheme.KindMemCache} }, false},
 		{"zero swap interval", func(c *Config) { c.Migration = &core.Options{Design: core.DesignN1} }, false},
+		{"design past Live", func(c *Config) { c.Migration = &core.Options{Design: core.Design(3), SwapInterval: 1000} }, false},
+		{"negative design", func(c *Config) { c.Migration = &core.Options{Design: core.Design(-1), SwapInterval: 1000} }, false},
 		{"three channels", func(c *Config) { c.Channels = 3 }, false},
 		{"negative channels", func(c *Config) { c.Channels = -2 }, false},
 		{"stripe wider than on-package", func(c *Config) { c.Channels = 1024 }, false},
