@@ -61,7 +61,7 @@ fuzz-regression:
 	$(GO) test ./internal/fault/ -run 'Fuzz'
 	$(GO) test ./internal/snap/ -run 'Fuzz'
 	$(GO) test ./internal/addr/ -run 'Fuzz'
-	$(GO) test ./internal/scheme/ -run 'Fuzz'
+	$(GO) test ./internal/cache/ -run 'Fuzz'
 	$(GO) test ./internal/dsweep/ -run 'Fuzz'
 	$(GO) test ./internal/flog/ -run 'Fuzz'
 	$(GO) test ./internal/sim/ -run 'Fuzz'
@@ -74,7 +74,7 @@ fuzz:
 	$(GO) test ./internal/fault/ -fuzz FuzzParseSchedule -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/snap/ -fuzz FuzzSnapshotRestore -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/addr/ -fuzz FuzzAddressMapping -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/scheme/ -fuzz FuzzSetCodec -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/cache/ -fuzz FuzzSetCodec -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/dsweep/ -fuzz FuzzReadFrame -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/flog/ -fuzz FuzzJournalRead -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sim/ -fuzz FuzzCheckpointRestore -fuzztime $(FUZZTIME)

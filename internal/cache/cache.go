@@ -1,8 +1,8 @@
-// Package cache implements the SRAM cache hierarchy of the Section II
-// full-system comparison (private L1/L2, shared L3) and the on-package
-// DRAM L4 cache alternative: a 15-way set-associative cache built in a
-// 16-way data array, with all of a set's tags packed into the 16th line so
-// a hit costs two sequential DRAM accesses (tags, then data).
+// Package cache implements the packed set store every cache model of the
+// simulator keeps its slots in (SetArray) and, on it, the SRAM cache
+// hierarchy of the Section II full-system comparison (private L1/L2,
+// shared L3). The on-package DRAM L4 (cpu.L4Backed) and the cache-managed
+// capacity schemes (internal/scheme) build on the same store.
 package cache
 
 import (
@@ -27,27 +27,15 @@ func (s Stats) MissRate() float64 {
 	return float64(s.Misses) / float64(s.Accesses)
 }
 
-// Each slot packs into one word: tag<<2 | dirty<<1 | valid. Tag bits fit
-// because the tag is the line address shifted down by the set bits. One
-// word per slot halves the per-set footprint of the old 16-byte struct and
-// turns the LRU shuffle into a plain word copy.
-const (
-	slotValid = 1 << 0
-	slotDirty = 1 << 1
-	slotTag   = 2 // tag shift
-)
-
 // Cache is a set-associative, write-back, write-allocate cache with true
-// LRU replacement (slot order within a set is recency order).
+// LRU replacement, its slots held in a SetArray indexed by shift: the set
+// is the low bits of the line address, the tag the bits above them.
 type Cache struct {
 	name      string
 	lineShift uint   // log2(lineSize); New enforces the power of two
 	setShift  uint   // log2(sets); New enforces the power of two
 	setMask   uint64 // sets-1
-	lineSize  uint64
-	sets      uint64
-	ways      int
-	slots     []uint64 // sets*ways, set-major, index 0 of a set = MRU
+	arr       SetArray
 	stats     Stats
 }
 
@@ -76,31 +64,18 @@ func NewWithSlots(buf []uint64, name string, size, lineSize uint64, ways int) (*
 	if sets == 0 || sets&(sets-1) != 0 {
 		return nil, fmt.Errorf("cache %s: set count %d not a power of two (size=%d)", name, sets, size)
 	}
-	need := sets * uint64(ways)
-	var slots []uint64
-	if uint64(cap(buf)) >= need {
-		slots = buf[:need]
-		clear(slots)
-	} else {
-		slots = make([]uint64, need)
+	arr, err := newSetArray(buf, sets, ways)
+	if err != nil {
+		return nil, err
 	}
 	return &Cache{
 		name:      name,
 		lineShift: uint(bits.TrailingZeros64(lineSize)),
 		setShift:  uint(bits.TrailingZeros64(sets)),
 		setMask:   sets - 1,
-		lineSize:  lineSize,
-		sets:      sets,
-		ways:      ways,
-		slots:     slots,
+		arr:       arr,
 	}, nil
 }
-
-// Name returns the cache's label.
-func (c *Cache) Name() string { return c.name }
-
-// LineSize returns the line size in bytes.
-func (c *Cache) LineSize() uint64 { return c.lineSize }
 
 // Access performs one access. It returns whether it hit and, on a miss
 // that evicted a dirty line, the victim's line-aligned address for
@@ -110,55 +85,21 @@ func (c *Cache) Access(a uint64, write bool) (hit bool, writeback uint64, hasWB 
 	line := a >> c.lineShift
 	set := line & c.setMask
 	tag := line >> c.setShift
-	base := int(set) * c.ways
-	ss := c.slots[base : base+c.ways]
-
-	want := tag<<slotTag | slotValid
-	for i, w := range ss {
-		if w&^slotDirty == want {
-			c.stats.Hits++
-			if write {
-				w |= slotDirty
-			}
-			// Move to MRU position.
-			copy(ss[1:i+1], ss[:i])
-			ss[0] = w
-			return true, 0, false
-		}
+	if hit, _ := c.arr.Probe(set, tag, write); hit {
+		c.stats.Hits++
+		return true, 0, false
 	}
 	c.stats.Misses++
-
-	victim := ss[c.ways-1]
-	if victim&slotValid != 0 {
+	vt, vd, vv := c.arr.Insert(set, tag, write)
+	if vv {
 		c.stats.Evictions++
-		if victim&slotDirty != 0 {
+		if vd {
 			c.stats.Writebacks++
 			hasWB = true
-			writeback = ((victim>>slotTag)<<c.setShift | set) << c.lineShift
+			writeback = (vt<<c.setShift | set) << c.lineShift
 		}
 	}
-	copy(ss[1:], ss[:c.ways-1])
-	if write {
-		want |= slotDirty
-	}
-	ss[0] = want
 	return false, writeback, hasWB
-}
-
-// Contains reports whether the line holding a is cached, without touching
-// recency or statistics.
-func (c *Cache) Contains(a uint64) bool {
-	line := a >> c.lineShift
-	set := line & c.setMask
-	tag := line >> c.setShift
-	base := int(set) * c.ways
-	want := tag<<slotTag | slotValid
-	for _, w := range c.slots[base : base+c.ways] {
-		if w&^slotDirty == want {
-			return true
-		}
-	}
-	return false
 }
 
 // Stats returns the counters so far.
@@ -166,6 +107,6 @@ func (c *Cache) Stats() Stats { return c.stats }
 
 // Reset clears contents and statistics.
 func (c *Cache) Reset() {
-	clear(c.slots)
+	clear(c.arr.slots)
 	c.stats = Stats{}
 }

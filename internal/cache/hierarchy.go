@@ -80,7 +80,7 @@ func NewHierarchy(cores int, levels []config.CacheLevel) (*Hierarchy, error) {
 // point.
 func (h *Hierarchy) ResizeL3(size uint64) error {
 	old := h.l3
-	l3, err := NewWithSlots(old.slots, old.name, size, old.lineSize, old.ways)
+	l3, err := NewWithSlots(old.arr.slots, old.name, size, 1<<old.lineShift, old.arr.ways)
 	if err != nil {
 		return err
 	}
@@ -119,38 +119,3 @@ func (h *Hierarchy) Reset() {
 	}
 	h.l3.Reset()
 }
-
-// DRAMCache models the on-package 1 GB L4 alternative: 15 ways of data in
-// a 16-way array, tags packed into the 16th line. A lookup always costs one
-// on-package DRAM access (the tag read); a hit costs a second one (the data
-// read), which is why the paper rates a hit at 2x the on-package latency.
-type DRAMCache struct {
-	c   *Cache
-	lat config.Latencies
-}
-
-// NewDRAMCache builds the L4. The line size follows the tag-in-row layout:
-// one row of 16 lines holds 15 data lines plus the set's tags, so the
-// cache's data capacity is 15/16 of size.
-func NewDRAMCache(size, lineSize uint64, lat config.Latencies) (*DRAMCache, error) {
-	data := size / 16 * 15
-	c, err := New("L4", data, lineSize, 15)
-	if err != nil {
-		return nil, err
-	}
-	return &DRAMCache{c: c, lat: lat}, nil
-}
-
-// Access looks up a and returns (hit, latency in cycles): 2x on-package
-// access on a hit; the tag-probe latency alone on a miss (the off-package
-// access that follows is the caller's to account).
-func (d *DRAMCache) Access(a uint64, write bool) (bool, int64) {
-	hit, _, _ := d.c.Access(a, write)
-	if hit {
-		return true, d.lat.L4HitLatency()
-	}
-	return false, d.lat.L4MissProbe()
-}
-
-// Stats returns the underlying cache counters.
-func (d *DRAMCache) Stats() Stats { return d.c.Stats() }

@@ -32,15 +32,21 @@ func (OffOnly) Name() string { return "baseline" }
 func (m OffOnly) Latency(uint64, bool) int64 { return m.Lat.OffPackageTotalEstimate() }
 
 // L4Backed is configuration (b): a 1 GB on-package DRAM L4 in front of the
-// off-package memory.
+// off-package memory. The L4 is 15 ways of data in a 16-way array, with
+// all of a set's tags packed into the 16th line, so a lookup always costs
+// one on-package access (the tag read) and a hit a second (the data read):
+// a hit costs L4HitLatency, twice the on-package access, and a miss the
+// tag probe plus the off-package access.
 type L4Backed struct {
 	Lat config.Latencies
-	L4  *cache.DRAMCache
+	L4  *cache.Cache
 }
 
-// NewL4Backed builds configuration (b) with the given L4 capacity.
+// NewL4Backed builds configuration (b) over an L4 array of size bytes. One
+// row of 16 512-byte lines holds 15 data lines plus the set's tags, so the
+// cache's data capacity is 15/16 of size.
 func NewL4Backed(lat config.Latencies, size uint64) (*L4Backed, error) {
-	l4, err := cache.NewDRAMCache(size, 512, lat)
+	l4, err := cache.New("L4", size/16*15, 512, 15)
 	if err != nil {
 		return nil, err
 	}
@@ -52,11 +58,10 @@ func (*L4Backed) Name() string { return "L4 cache 1GB" }
 
 // Latency implements MemoryModel.
 func (m *L4Backed) Latency(a uint64, write bool) int64 {
-	hit, lat := m.L4.Access(a, write)
-	if hit {
-		return lat
+	if hit, _, _ := m.L4.Access(a, write); hit {
+		return m.Lat.L4HitLatency()
 	}
-	return lat + m.Lat.OffPackageTotalEstimate()
+	return m.Lat.L4MissProbe() + m.Lat.OffPackageTotalEstimate()
 }
 
 // StaticSplit is configuration (c): the lowest OnBytes of physical memory
@@ -105,7 +110,7 @@ func DefaultModel() Model {
 // EstimateIPC converts a mean memory-access latency (in cycles) into the
 // model's aggregate IPC under the approximation that every trace record
 // misses the SRAM hierarchy — the regime of the post-L3 memory traces the
-// sim package consumes. Dividing the RunWarm accounting by the access
+// sim package consumes. Dividing the Run accounting by the access
 // count collapses it to
 //
 //	IPC = Cores / (BaseCPI + AccessPerInstr · MLPOverlap · meanLat)
@@ -129,25 +134,24 @@ type Result struct {
 	MemAccesses uint64
 }
 
-// Run feeds n records from src through the hierarchy and prices L3 misses
-// with mem, returning the configuration's aggregate IPC. The first `warmup`
-// records exercise the caches and the memory model but are excluded from
-// the cycle accounting, mirroring the paper's 1-billion-instruction warmup
-// before full simulation (Table II).
-func Run(src trace.Source, n uint64, levels []config.CacheLevel, lats config.Latencies, m Model, mem MemoryModel) (Result, error) {
-	return RunWarm(src, n, 0, levels, lats, m, mem)
-}
-
-// RunWarm is Run with an explicit warmup length.
-func RunWarm(src trace.Source, n, warmup uint64, levels []config.CacheLevel, lats config.Latencies, m Model, mem MemoryModel) (Result, error) {
+// Run feeds warmup+n records from src through the hierarchy once and
+// prices each L3 miss with every model in mems, returning one Result per
+// model, in order. The first warmup records exercise the caches and the
+// memory models but are excluded from the cycle accounting, mirroring the
+// paper's 1-billion-instruction warmup before full simulation (Table II).
+// No level of the hierarchy depends on the memory model, so each model
+// sees, in trace order, the L3 misses a run with it alone would, and its
+// stall sum adds the same terms in the same order.
+func Run(src trace.Source, n, warmup uint64, levels []config.CacheLevel, m Model, mems ...MemoryModel) ([]Result, error) {
 	h, err := cache.NewHierarchy(m.Cores, levels)
 	if err != nil {
-		return Result{}, err
+		return nil, err
 	}
 	if m.MLPOverlap <= 0 || m.MLPOverlap > 1 {
-		return Result{}, fmt.Errorf("cpu: MLP overlap %f out of (0,1]", m.MLPOverlap)
+		return nil, fmt.Errorf("cpu: MLP overlap %f out of (0,1]", m.MLPOverlap)
 	}
-	var stalls float64
+	stalls := make([]float64, len(mems))
+	memLat := make([]float64, len(mems))
 	var count, seen, memAcc uint64
 	latL1 := float64(levels[0].Latency)
 	latL2 := float64(levels[1].Latency)
@@ -155,46 +159,58 @@ func RunWarm(src trace.Source, n, warmup uint64, levels []config.CacheLevel, lat
 	walk := func(rec trace.Record) error {
 		seen++
 		lvl := h.Access(int(rec.CPU), rec.Addr, rec.Write)
-		var memLat float64
 		if lvl == cache.Memory {
-			// Always drive the memory model so L4 contents and migration
+			// Always drive the memory models so L4 contents and migration
 			// state warm up alongside the SRAM hierarchy.
-			memLat = float64(mem.Latency(rec.Addr, rec.Write))
+			for i, mem := range mems {
+				memLat[i] = float64(mem.Latency(rec.Addr, rec.Write))
+			}
 		}
 		if seen <= warmup {
 			return nil
 		}
 		count++
+		var lat float64
 		switch lvl {
 		case cache.L1:
-			stalls += latL1
+			lat = latL1
 		case cache.L2:
-			stalls += latL2
+			lat = latL2
 		case cache.L3:
-			stalls += latL3
+			lat = latL3
 		case cache.Memory:
 			memAcc++
-			stalls += latL3 + memLat*m.MLPOverlap
+			for i := range stalls {
+				stalls[i] += latL3 + memLat[i]*m.MLPOverlap
+			}
+			return nil
+		}
+		for i := range stalls {
+			stalls[i] += lat
 		}
 		return nil
 	}
 	if n+warmup > 0 {
 		if _, err := trace.Each(src, n+warmup, walk); err != nil {
-			return Result{}, err
+			return nil, err
 		}
 	}
 	if count == 0 {
-		return Result{}, fmt.Errorf("cpu: empty trace")
+		return nil, fmt.Errorf("cpu: empty trace")
 	}
 	instr := float64(count) / m.AccessPerInstr
-	cycles := instr*m.BaseCPI/float64(m.Cores) + stalls/float64(m.Cores)
-	return Result{
-		Config:      mem.Name(),
-		Accesses:    count,
-		Instr:       instr,
-		Cycles:      cycles,
-		IPC:         instr / cycles,
-		L3MissRate:  h.L3Stats().MissRate(),
-		MemAccesses: memAcc,
-	}, nil
+	out := make([]Result, len(mems))
+	for i, mem := range mems {
+		cycles := instr*m.BaseCPI/float64(m.Cores) + stalls[i]/float64(m.Cores)
+		out[i] = Result{
+			Config:      mem.Name(),
+			Accesses:    count,
+			Instr:       instr,
+			Cycles:      cycles,
+			IPC:         instr / cycles,
+			L3MissRate:  h.L3Stats().MissRate(),
+			MemAccesses: memAcc,
+		}
+	}
+	return out, nil
 }

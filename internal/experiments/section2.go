@@ -202,14 +202,12 @@ func (r Fig5Row) Improvement() (l4, static, allOn float64) {
 		(r.AllOn.IPC - base) / base * 100
 }
 
-type fig5cfg struct {
-	mem cpu.MemoryModel
-	dst *cpu.Result
-}
-
 // Fig5Data runs the four Section II configurations per workload (plus the
 // dynamic-migration extension column). Half of each run warms the caches
-// and the L4/migration state, mirroring the paper's warmup phase.
+// and the L4/migration state, mirroring the paper's warmup phase. No level
+// of the SRAM hierarchy depends on the memory model, so each workload's
+// generator streams through one hierarchy walk that prices every L3 miss
+// under all five models.
 func Fig5Data(ctx context.Context, p Params) ([]Fig5Row, error) {
 	const defRecords = 2_000_000
 	records := p.records(defRecords)
@@ -221,7 +219,6 @@ func Fig5Data(ctx context.Context, p Params) ([]Fig5Row, error) {
 
 	var out []Fig5Row
 	for _, name := range p.workloads(workload.ProgramNames()) {
-		row := Fig5Row{Workload: name}
 		l4, err := cpu.NewL4Backed(lat, 1*addr.GiB)
 		if err != nil {
 			return nil, err
@@ -230,37 +227,16 @@ func Fig5Data(ctx context.Context, p Params) ([]Fig5Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		configs := []fig5cfg{
-			{cpu.OffOnly{Lat: lat}, &row.Baseline},
-			{l4, &row.L4},
-			{cpu.StaticSplit{Lat: lat, OnBytes: 1 * addr.GiB}, &row.Static},
-			{cpu.AllOn{Lat: lat}, &row.AllOn},
-			{migModel, &row.Migrating},
-		}
-		// All five configurations consume the identical trace, so generate
-		// it once and replay the slice (bit-identical to regeneration).
-		// Unlike the capacity sweep above, only five replays share the
-		// work here, so the packed form's encode+decode cost would exceed
-		// what a plain slice replay pays; the slice wins on time and the
-		// footprint is one workload's records at a time.
 		gen, err := workload.NewProgram(name, p.seed())
 		if err != nil {
 			return nil, err
 		}
-		recs, err := trace.Collect(gen, int(records))
+		res, err := cpu.Run(gen, measured, warmup, levels, model,
+			cpu.OffOnly{Lat: lat}, l4, cpu.StaticSplit{Lat: lat, OnBytes: 1 * addr.GiB}, cpu.AllOn{Lat: lat}, migModel)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("fig5 %s: %w", name, err)
 		}
-		src := trace.NewSliceSource(recs)
-		for _, c := range configs {
-			src.Reset()
-			res, err := cpu.RunWarm(src, measured, warmup, levels, lat, model, c.mem)
-			if err != nil {
-				return nil, fmt.Errorf("fig5 %s/%s: %w", name, c.mem.Name(), err)
-			}
-			*c.dst = res
-		}
-		out = append(out, row)
+		out = append(out, Fig5Row{Workload: name, Baseline: res[0], L4: res[1], Static: res[2], AllOn: res[3], Migrating: res[4]})
 	}
 	return out, nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 
+	"heteromem/internal/cache"
 	"heteromem/internal/snap"
 )
 
@@ -55,7 +56,7 @@ type Alloy struct {
 	spec       Spec
 	blockShift uint
 	base       uint64
-	arr        *SetArray
+	arr        *cache.SetArray
 	pred       *predictor
 	stats      Stats
 }
@@ -67,7 +68,7 @@ func NewAlloy(spec Spec, capacity, base, blockBytes uint64) (*Alloy, error) {
 		return nil, fmt.Errorf("scheme: alloy block size %d not a power of two", blockBytes)
 	}
 	sets := capacity / blockBytes
-	arr, err := NewSetArray(sets, 1)
+	arr, err := cache.NewSetArray(sets, 1)
 	if err != nil {
 		return nil, fmt.Errorf("scheme: alloy capacity %d / block %d: %w", capacity, blockBytes, err)
 	}

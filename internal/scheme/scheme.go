@@ -214,6 +214,16 @@ func (s Stats) HitRate() float64 {
 	return float64(s.Hits) / float64(s.Accesses)
 }
 
+// snap carries the counters.
+func (st *Stats) snap(s *snap.Stream) {
+	for _, c := range []*uint64{
+		&st.Accesses, &st.Hits, &st.Misses, &st.Fills,
+		&st.Writebacks, &st.TagProbes, &st.ProbeSkips, &st.WastedOff,
+	} {
+		s.U64(c)
+	}
+}
+
 // Add accumulates o into s (used by the sharded hub's report merge).
 func (s *Stats) Add(o Stats) {
 	s.Accesses += o.Accesses

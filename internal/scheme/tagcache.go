@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 
+	"heteromem/internal/cache"
 	"heteromem/internal/snap"
 )
 
@@ -21,7 +22,7 @@ const (
 type TagCache struct {
 	spec       Spec
 	blockShift uint
-	arr        *SetArray
+	arr        *cache.SetArray
 	tb         []uint64 // direct-mapped SRAM tag buffer: set+1, 0 = empty
 	tbMask     uint64
 	stats      Stats
@@ -34,7 +35,7 @@ func NewTagCache(spec Spec, capacity, blockBytes uint64) (*TagCache, error) {
 		return nil, fmt.Errorf("scheme: cachemode block size %d not a power of two", blockBytes)
 	}
 	sets := capacity / blockBytes / tagCacheWays
-	arr, err := NewSetArray(sets, tagCacheWays)
+	arr, err := cache.NewSetArray(sets, tagCacheWays)
 	if err != nil {
 		return nil, fmt.Errorf("scheme: cachemode capacity %d / block %d: %w", capacity, blockBytes, err)
 	}
