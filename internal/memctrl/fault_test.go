@@ -71,7 +71,7 @@ func TestZeroFaultConfigKeepsInjectorOff(t *testing.T) {
 		if ctrl.FaultReport() != nil {
 			t.Fatalf("config %+v produced a fault report", fc)
 		}
-		if ctrl.Report().Faults != nil {
+		if report(ctrl).Faults != nil {
 			t.Fatal("Report.Faults set without injection")
 		}
 	}

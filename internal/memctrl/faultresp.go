@@ -177,8 +177,8 @@ func (c *Controller) execRetire(s int, cycle int64) {
 // deviceFault is the schedulers' fault handler: it answers one faulted
 // program-access burst. A retried burst is served again after the returned
 // backoff; on every other rung the access delivers what the frame holds.
-func (c *Controller) deviceFault(r *sched.Request, region Region) (retry bool, backoff int64) {
-	switch c.ladder(fault.PointDevice, r.Addr, region == OnPackage, r.Attempts, fault.Degraded, c.now) {
+func (c *Controller) deviceFault(r *sched.Request) (retry bool, backoff int64) {
+	switch c.ladder(fault.PointDevice, r.Addr, r.OnPkg, r.Attempts, fault.Degraded, c.now) {
 	case rungRetry:
 		backoff = c.retry.Delay(r.Attempts + 1)
 		c.inst.spans.Span(obs.LaneFault, obs.SpanBackoff, c.now, c.now+backoff, uint64(fault.PointDevice), uint64(r.Attempts+1), 0)

@@ -264,30 +264,31 @@ func (h *Hub) FaultReport() *fault.Report {
 // states merge exactly (Chan et al.), histogram buckets add before the
 // percentile, queue-delay sums divide once at the end — and shards fold in
 // fixed channel order, so the report is identical regardless of which
-// shard's goroutine finished first.
+// shard's goroutine finished first. It is the only report fold: a bare
+// controller reports through a one-shard hub.
 func (h *Hub) Report() Report {
 	var r Report
 	var hist stats.Histogram
 	var coreLatSum int64
 	var nDone uint64
-	var onServed, offServed uint64
-	var onQueue, offQueue int64
+	var served [2]uint64
+	var queued [2]int64
+	lat := [2]*stats.LatencyStat{&r.On, &r.Off}
+	dram := [2]*stats.LatencyStat{&r.DRAMOn, &r.DRAMOff}
 	for _, c := range h.ctrls {
 		r.All.Merge(c.allLat)
-		r.On.Merge(c.onLat)
-		r.Off.Merge(c.offLat)
 		r.DRAMAll.Merge(c.dramAll)
-		r.DRAMOn.Merge(c.dramOn)
-		r.DRAMOff.Merge(c.dramOff)
 		hist.Merge(&c.hist)
 		coreLatSum += c.coreLatSum
 		nDone += c.nDone
-		s, q := c.onSch.QueueTotals()
-		onServed += s
-		onQueue += q
-		s, q = c.offSch.QueueTotals()
-		offServed += s
-		offQueue += q
+		for i := range c.regions {
+			rg := &c.regions[i]
+			lat[i].Merge(rg.lat)
+			dram[i].Merge(rg.dram)
+			s, _, q := rg.sch.Stats()
+			served[i] += s
+			queued[i] += q
+		}
 		if c.mig != nil {
 			r.Migration.Merge(c.mig.Stats())
 		}
@@ -306,11 +307,10 @@ func (h *Hub) Report() Report {
 		r.MeanCoreLat = float64(coreLatSum) / float64(nDone)
 		r.OnShare = float64(r.On.Count()) / float64(nDone)
 	}
-	if onServed > 0 {
-		r.OnQueueMean = float64(onQueue) / float64(onServed)
-	}
-	if offServed > 0 {
-		r.OffQueueMean = float64(offQueue) / float64(offServed)
+	for i, mean := range [2]*float64{&r.OnQueueMean, &r.OffQueueMean} {
+		if served[i] > 0 {
+			*mean = float64(queued[i]) / float64(served[i])
+		}
 	}
 	r.Faults = h.FaultReport()
 	return r

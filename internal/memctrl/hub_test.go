@@ -75,7 +75,7 @@ func TestHubSingleChannelDelegates(t *testing.T) {
 		t.Fatalf("flush cycle %d vs %d", bf, hf)
 	}
 	got, _ := json.Marshal(hub.Report())
-	want, _ := json.Marshal(bare.Report())
+	want, _ := json.Marshal(report(bare))
 	if string(got) != string(want) {
 		t.Fatalf("single-channel hub report diverged:\n got %s\nwant %s", got, want)
 	}

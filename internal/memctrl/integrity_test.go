@@ -88,7 +88,7 @@ func TestShadowIntegrity(t *testing.T) {
 				}
 			}
 			ctrl.Flush()
-			if ctrl.Report().Migration.SwapsCompleted == 0 {
+			if report(ctrl).Migration.SwapsCompleted == 0 {
 				t.Fatalf("%v: test exercised no swaps", design)
 			}
 		})

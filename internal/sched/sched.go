@@ -535,20 +535,13 @@ func (s *Scheduler) SetObs(grants, stolen *obs.Counter) {
 	s.obsStolen = stolen
 }
 
-// Stats returns (requests served, bulk jobs served, mean queuing delay).
-func (s *Scheduler) Stats() (served, bulkServed uint64, meanQueue float64) {
-	if s.served > 0 {
-		meanQueue = float64(s.sumQueueing) / float64(s.served)
-	}
-	return s.served, s.bulkServed, meanQueue
-}
-
-// QueueTotals returns the raw (requests served, summed queuing delay)
-// accumulators behind Stats. A multi-channel hub folds these across its
-// per-channel schedulers so the aggregate mean queue delay is exact rather
-// than a mean of per-channel means.
-func (s *Scheduler) QueueTotals() (served uint64, sumQueueing int64) {
-	return s.served, s.sumQueueing
+// Stats returns the requests served, the bulk jobs served, and the summed
+// queuing delay of the served requests in cycles. The mean queue delay is
+// the sum over the served count; a multi-channel hub sums both across its
+// per-channel schedulers first and divides once, so its mean is exact
+// rather than a mean of per-channel means.
+func (s *Scheduler) Stats() (served, bulkServed uint64, sumQueueing int64) {
+	return s.served, s.bulkServed, s.sumQueueing
 }
 
 // Device exposes the underlying DRAM model (for stats and power).
