@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"errors"
 	"slices"
 	"strings"
 	"testing"
@@ -102,6 +103,17 @@ func TestFig5Shape(t *testing.T) {
 		if r.AllOn.IPC < r.Static.IPC-1e-9 {
 			t.Errorf("%s: static beats the ideal", r.Workload)
 		}
+	}
+}
+
+// TestFig5HonoursContext: a cancelled sweep returns the context's error
+// instead of running every workload to completion.
+func TestFig5HonoursContext(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	rows, err := Fig5Data(ctx, Params{Records: 150000, Seed: 1, Workloads: []string{"EP.C", "FT.C"}})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled Fig. 5: %d rows, err = %v, want context.Canceled", len(rows), err)
 	}
 }
 

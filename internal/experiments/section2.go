@@ -207,7 +207,9 @@ func (r Fig5Row) Improvement() (l4, static, allOn float64) {
 // and the L4/migration state, mirroring the paper's warmup phase. No level
 // of the SRAM hierarchy depends on the memory model, so each workload's
 // generator streams through one hierarchy walk that prices every L3 miss
-// under all five models.
+// under all five models. Workloads run in parallel, each with its own
+// models (about 16 MB of L4 slots apiece), and a cancelled context stops
+// the sweep before its next workload.
 func Fig5Data(ctx context.Context, p Params) ([]Fig5Row, error) {
 	const defRecords = 2_000_000
 	records := p.records(defRecords)
@@ -217,26 +219,32 @@ func Fig5Data(ctx context.Context, p Params) ([]Fig5Row, error) {
 	model := cpu.DefaultModel()
 	levels := config.SRAMHierarchy()
 
-	var out []Fig5Row
-	for _, name := range p.workloads(workload.ProgramNames()) {
+	names := p.workloads(workload.ProgramNames())
+	out := make([]Fig5Row, len(names))
+	err := p.forEach(ctx, len(names), p.Parallelism, func(i int) error {
+		name := names[i]
 		l4, err := cpu.NewL4Backed(lat, 1*addr.GiB)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		migModel, err := cpu.NewMigratingModel(lat, 1*addr.GiB, config.SectionIIGeometry().TotalCapacity, 4*addr.MiB, 10000)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		gen, err := workload.NewProgram(name, p.seed())
 		if err != nil {
-			return nil, err
+			return err
 		}
 		res, err := cpu.Run(gen, measured, warmup, levels, model,
 			cpu.OffOnly{Lat: lat}, l4, cpu.StaticSplit{Lat: lat, OnBytes: 1 * addr.GiB}, cpu.AllOn{Lat: lat}, migModel)
 		if err != nil {
-			return nil, fmt.Errorf("fig5 %s: %w", name, err)
+			return fmt.Errorf("fig5 %s: %w", name, err)
 		}
-		out = append(out, Fig5Row{Workload: name, Baseline: res[0], L4: res[1], Static: res[2], AllOn: res[3], Migrating: res[4]})
+		out[i] = Fig5Row{Workload: name, Baseline: res[0], L4: res[1], Static: res[2], AllOn: res[3], Migrating: res[4]}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
