@@ -412,14 +412,7 @@ func (t *Table) Restore(snap *TableSnapshot) error {
 		t.SetPending(uint64(p), snap.pending[p])
 	}
 	t.emptyRow = snap.emptyRow
-	for p := range t.back {
-		t.back[p] = noSlot
-	}
-	for s, r := range t.resident {
-		if r != Empty && r >= t.n {
-			t.back[r] = int32(s)
-		}
-	}
+	t.reindex()
 	return nil
 }
 
