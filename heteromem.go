@@ -223,42 +223,26 @@ func New(c Config) (*System, error) {
 
 // Run simulates up to maxRecords accesses from src (0 = the whole trace).
 func (s *System) Run(src Source, maxRecords uint64) (Result, error) {
-	return s.RunContext(context.Background(), src, maxRecords)
+	return s.RunContext(context.Background(), src, maxRecords, Checkpointing{})
 }
 
-// RunContext is Run with cooperative cancellation: the context is polled
-// every few thousand records (never in the per-record hot path), and a
-// cancelled run returns an error wrapping ctx.Err(). Cancellation never
-// alters simulated results — an uncancelled RunContext is byte-identical
-// to Run.
-func (s *System) RunContext(ctx context.Context, src Source, maxRecords uint64) (Result, error) {
-	cfg := s.cfg
-	cfg.MaxRecords = maxRecords
-	return sim.RunContext(ctx, src, cfg)
+// RunWorkload simulates one of the built-in Section IV workloads
+// (see Workloads) with the given seed.
+func (s *System) RunWorkload(name string, seed int64, maxRecords uint64) (Result, error) {
+	gen, err := workload.NewMemory(name, seed)
+	if err != nil {
+		return Result{}, err
+	}
+	return s.RunContext(context.Background(), gen, maxRecords, Checkpointing{})
 }
 
-// Checkpointing configures periodic run-state snapshots and crash-resilient
-// resume. Every `Every` records the complete simulation state — controller,
-// devices, schedulers, migration engine, fault injector, and trace-source
-// position — is serialized into a versioned, checksummed snapshot and
-// handed to Sink. A run restarted with Resume set to any such snapshot
-// (same configuration, same freshly constructed source) produces a Result
-// identical to the uninterrupted run. Checkpointing is incompatible with
-// the observability collectors (Metrics, SpanTrace, EpochSeries).
-type Checkpointing struct {
-	Every  uint64                                  // records between checkpoints (0 = off)
-	Sink   func(data []byte, records uint64) error // receives each checkpoint
-	Resume []byte                                  // checkpoint to resume from (nil = fresh run)
-}
-
-// RunCheckpointed is Run with periodic checkpoints and/or resume.
-func (s *System) RunCheckpointed(src Source, maxRecords uint64, ck Checkpointing) (Result, error) {
-	return s.RunCheckpointedContext(context.Background(), src, maxRecords, ck)
-}
-
-// RunCheckpointedContext is RunCheckpointed with cooperative cancellation
-// (see RunContext).
-func (s *System) RunCheckpointedContext(ctx context.Context, src Source, maxRecords uint64, ck Checkpointing) (Result, error) {
+// RunContext is Run with cooperative cancellation and checkpointing. The
+// context is polled every few thousand records (never in the per-record hot
+// path), and a cancelled run returns an error wrapping ctx.Err().
+// Cancellation never alters simulated results: an uncancelled RunContext
+// with the zero Checkpointing is byte-identical to Run. To checkpoint a
+// built-in workload, pass NewGenerator(MemoryWorkload(name), seed) as src.
+func (s *System) RunContext(ctx context.Context, src Source, maxRecords uint64, ck Checkpointing) (Result, error) {
 	cfg := s.cfg
 	cfg.MaxRecords = maxRecords
 	cfg.CheckpointEvery = ck.Every
@@ -267,21 +251,21 @@ func (s *System) RunCheckpointedContext(ctx context.Context, src Source, maxReco
 	return sim.RunContext(ctx, src, cfg)
 }
 
-// RunWorkloadCheckpointed is RunWorkload with periodic checkpoints and/or
-// resume. The built-in workload generators serialize their full PRNG state
-// into the checkpoint, so resume is exact at any boundary.
-func (s *System) RunWorkloadCheckpointed(name string, seed int64, maxRecords uint64, ck Checkpointing) (Result, error) {
-	return s.RunWorkloadCheckpointedContext(context.Background(), name, seed, maxRecords, ck)
-}
-
-// RunWorkloadCheckpointedContext is RunWorkloadCheckpointed with
-// cooperative cancellation (see RunContext).
-func (s *System) RunWorkloadCheckpointedContext(ctx context.Context, name string, seed int64, maxRecords uint64, ck Checkpointing) (Result, error) {
-	gen, err := workload.NewMemory(name, seed)
-	if err != nil {
-		return Result{}, err
-	}
-	return s.RunCheckpointedContext(ctx, gen, maxRecords, ck)
+// Checkpointing configures periodic run-state snapshots and crash-resilient
+// resume for RunContext; the zero value takes none. Every `Every` records
+// the complete simulation state — controller, devices, schedulers,
+// migration engine, fault injector, and trace-source position — is
+// serialized into a versioned, checksummed snapshot and handed to Sink. A
+// run restarted with Resume set to any such snapshot (same configuration,
+// same freshly constructed source) produces a Result identical to the
+// uninterrupted run. The built-in workload generators serialize their full
+// PRNG state into the checkpoint, so resume is exact at any boundary.
+// Checkpointing is incompatible with the observability collectors
+// (Metrics, SpanTrace, EpochSeries).
+type Checkpointing struct {
+	Every  uint64                                  // records between checkpoints (0 = off)
+	Sink   func(data []byte, records uint64) error // receives each checkpoint
+	Resume []byte                                  // checkpoint to resume from (nil = fresh run)
 }
 
 // CheckpointInfo summarizes a checkpoint file without restoring it.
@@ -296,22 +280,6 @@ func InspectCheckpoint(data []byte) (CheckpointInfo, error) {
 // ErrConfigMismatch reports a checkpoint taken under a different
 // configuration than the one resuming from it.
 var ErrConfigMismatch = sim.ErrConfigMismatch
-
-// RunWorkload simulates one of the built-in Section IV workloads
-// (see Workloads) with the given seed.
-func (s *System) RunWorkload(name string, seed int64, maxRecords uint64) (Result, error) {
-	return s.RunWorkloadContext(context.Background(), name, seed, maxRecords)
-}
-
-// RunWorkloadContext is RunWorkload with cooperative cancellation (see
-// RunContext).
-func (s *System) RunWorkloadContext(ctx context.Context, name string, seed int64, maxRecords uint64) (Result, error) {
-	gen, err := workload.NewMemory(name, seed)
-	if err != nil {
-		return Result{}, err
-	}
-	return s.RunContext(ctx, gen, maxRecords)
-}
 
 // Workloads lists the built-in Section IV trace workloads.
 func Workloads() []string { return workload.Names() }

@@ -1,6 +1,12 @@
 package heteromem
 
-import "testing"
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"errors"
+	"testing"
+)
 
 func TestDefaultsBuild(t *testing.T) {
 	sys, err := New(Config{})
@@ -139,5 +145,82 @@ func TestSystemIsReusable(t *testing.T) {
 	if a.MeanDRAMLatency != b.MeanDRAMLatency || a.Report.OnShare != b.Report.OnShare {
 		t.Fatalf("runs diverged: %.3f/%.3f vs %.3f/%.3f",
 			a.MeanDRAMLatency, a.Report.OnShare, b.MeanDRAMLatency, b.Report.OnShare)
+	}
+}
+
+// TestRunContextCheckpointResume drives the façade's checkpoint path:
+// RunContext with Checkpointing over a NewGenerator source takes
+// checkpoints without changing the Result, a resume from a middle
+// checkpoint on a fresh generator reproduces the uninterrupted Run, and a
+// resume under another Config fails with ErrConfigMismatch.
+func TestRunContextCheckpointResume(t *testing.T) {
+	const records = 60_000
+	cfg := Config{
+		MacroPageSize: 64 * KiB,
+		Migration:     Migration{Enabled: true, Design: DesignLive, SwapInterval: 1000},
+		Warmup:        10_000,
+		MeterPower:    true,
+	}
+	sys, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := MemoryWorkload("pgbench")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := func() Source {
+		gen, err := NewGenerator(spec, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return gen
+	}
+	marshal := func(res Result, err error) []byte {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+
+	want := marshal(sys.Run(fresh(), records))
+	if byName := marshal(sys.RunWorkload("pgbench", 1, records)); !bytes.Equal(byName, want) {
+		t.Fatal("Run over NewGenerator(MemoryWorkload(name), seed) differs from RunWorkload")
+	}
+	var ckpts [][]byte
+	var at []uint64
+	sink := func(data []byte, n uint64) error {
+		ckpts = append(ckpts, data)
+		at = append(at, n)
+		return nil
+	}
+	ctx := context.Background()
+	if got := marshal(sys.RunContext(ctx, fresh(), records, Checkpointing{Every: 15_000, Sink: sink})); !bytes.Equal(got, want) {
+		t.Error("checkpointing changed the Result")
+	}
+	if len(ckpts) < 3 {
+		t.Fatalf("took %d checkpoints (at %v), want at least 3", len(ckpts), at)
+	}
+	mid := len(ckpts) / 2
+	info, err := InspectCheckpoint(ckpts[mid])
+	if err != nil || info.Records != at[mid] {
+		t.Fatalf("InspectCheckpoint = %+v, %v; want Records %d", info, err, at[mid])
+	}
+	if got := marshal(sys.RunContext(ctx, fresh(), records, Checkpointing{Resume: ckpts[mid]})); !bytes.Equal(got, want) {
+		t.Errorf("resume from the checkpoint at record %d differs from the uninterrupted run\n got: %.200s\nwant: %.200s", at[mid], got, want)
+	}
+
+	cfg.Migration.SwapInterval = 2000
+	other, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := other.RunContext(ctx, fresh(), records, Checkpointing{Resume: ckpts[mid]}); !errors.Is(err, ErrConfigMismatch) {
+		t.Errorf("resume under another Config: err = %v, want ErrConfigMismatch", err)
 	}
 }
