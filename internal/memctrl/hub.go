@@ -9,12 +9,12 @@
 // interconnect hop (Config.CopyHop), which the hub charges on every shard's
 // copy read legs.
 //
-// A single-channel hub wraps one Controller built from the config
-// unchanged, and every hub method folds over its shards the same way for
-// one channel as for many: the fold of one shard into empty accumulators
-// is an exact copy, so report and snapshot bytes are identical to a bare
-// Controller's, which is what keeps the pre-hub goldens byte-for-byte
-// valid.
+// A single-channel hub is built through the same shard loop as N: its one
+// shard takes the geometry whole and no hop. Every hub method folds over
+// its shards the same way for one channel as for many: the fold of one
+// shard into empty accumulators is an exact copy, so report and snapshot
+// bytes are identical to a bare Controller's, which is what keeps the
+// pre-hub goldens byte-for-byte valid.
 package memctrl
 
 import (
@@ -113,36 +113,21 @@ func Sharding(g config.MemoryGeometry, hc HubConfig) (HubConfig, error) {
 	return hc, nil
 }
 
-// NewHub builds the hub over the layout Sharding resolves. With one
-// channel the result wraps exactly one Controller built from cfg
-// unchanged. With N > 1, cfg.Geometry is split N ways (capacities divide,
-// device structure per shard unchanged) and cfg.Obs/cfg.Power must be
-// unset — per-shard instruments come from HubConfig so shards never share
-// mutable state. onResult, when non-nil, observes every completed access;
-// under sharding its AccessResult carries the globalized physical address
-// and the shard-local machine address.
+// NewHub builds the hub over the layout Sharding resolves, one controller
+// per channel. cfg.Geometry is split N ways (capacities divide, device
+// structure per shard unchanged; one channel keeps it whole). With N > 1,
+// cfg.Obs/cfg.Power must be unset — per-shard instruments come from
+// HubConfig so shards never share mutable state; one channel takes them
+// from either. onResult, when non-nil, observes every completed access;
+// its AccessResult carries the globalized physical address and the
+// shard-local machine address.
 func NewHub(cfg Config, hubCfg HubConfig, onResult func(AccessResult)) (*Hub, error) {
 	hubCfg, err := Sharding(cfg.Geometry, hubCfg)
 	if err != nil {
 		return nil, err
 	}
 	n := hubCfg.Channels
-	if n == 1 {
-		ctrl, err := New(cfg, onResult)
-		if err != nil {
-			return nil, err
-		}
-		iv, err := addr.NewInterleave(1, cfg.Geometry.MacroPageSize)
-		if err != nil {
-			return nil, err
-		}
-		return &Hub{ctrls: []*Controller{ctrl}, iv: iv}, nil
-	}
-	iv, err := addr.NewInterleave(n, hubCfg.Interleave)
-	if err != nil {
-		return nil, fmt.Errorf("memctrl: %w", err)
-	}
-	if cfg.Obs != nil || cfg.Power != nil {
+	if n > 1 && (cfg.Obs != nil || cfg.Power != nil) {
 		return nil, fmt.Errorf("memctrl: sharded hub requires per-shard instruments (HubConfig.ShardObs/ShardPower), not shared Config.Obs/Power")
 	}
 	if hubCfg.ShardObs != nil && len(hubCfg.ShardObs) != n {
@@ -155,8 +140,8 @@ func NewHub(cfg Config, hubCfg HubConfig, onResult func(AccessResult)) (*Hub, er
 	if err != nil {
 		return nil, fmt.Errorf("memctrl: %w", err)
 	}
-	h := &Hub{ctrls: make([]*Controller, n), iv: iv}
-	for i := 0; i < n; i++ {
+	h := &Hub{ctrls: make([]*Controller, n)}
+	for i := range h.ctrls {
 		scfg := cfg
 		scfg.Geometry = shardGeom
 		scfg.CopyHop = hubCfg.HopLatency
@@ -174,11 +159,21 @@ func NewHub(cfg Config, hubCfg HubConfig, onResult func(AccessResult)) (*Hub, er
 				onResult(r)
 			}
 		}
-		ctrl, err := New(scfg, shardResult)
-		if err != nil {
-			return nil, fmt.Errorf("memctrl: channel %d: %w", i, err)
+		if h.ctrls[i], err = New(scfg, shardResult); err != nil {
+			if n > 1 {
+				err = fmt.Errorf("memctrl: channel %d: %w", i, err)
+			}
+			return nil, err
 		}
-		h.ctrls[i] = ctrl
+	}
+	// One channel has no channel bits to route by, so its unit is the
+	// macro page (Sharding reports 0 there, for the config digest). New
+	// has validated the page size by now.
+	if hubCfg.Interleave == 0 {
+		hubCfg.Interleave = cfg.Geometry.MacroPageSize
+	}
+	if h.iv, err = addr.NewInterleave(n, hubCfg.Interleave); err != nil {
+		return nil, fmt.Errorf("memctrl: %w", err)
 	}
 	return h, nil
 }

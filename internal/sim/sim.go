@@ -268,13 +268,7 @@ func newHub(cfg Config) (*memctrl.Hub, []*obs.Registry, []*power.Meter, error) {
 		Fault:      cfg.Fault,
 	}
 	hubCfg := cfg.hubConfig()
-	if n == 1 {
-		// A single-channel hub is a bare controller and takes its
-		// instruments from the controller config.
-		mcfg.Obs, mcfg.Power = regs[0], meters[0]
-	} else {
-		hubCfg.ShardObs, hubCfg.ShardPower = regs, meters
-	}
+	hubCfg.ShardObs, hubCfg.ShardPower = regs, meters
 	hub, err := memctrl.NewHub(mcfg, hubCfg, nil)
 	return hub, regs, meters, err
 }
