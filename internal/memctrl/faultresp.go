@@ -195,18 +195,14 @@ func (c *Controller) deviceFault(r *sched.Request) (retry bool, backoff int64) {
 // leg's metadata record on a fresh (pooled) job.
 func (c *Controller) retryLeg(meta *legMeta, j *sched.BulkJob) {
 	meta.attempts++
-	retry := c.newBulkJob()
-	retry.Tag = j.Tag
-	retry.Duration = j.Duration
-	retry.Earliest = j.Done + c.retry.Delay(meta.attempts)
-	retry.Meta = meta
-	c.inst.spans.Span(obs.LaneFault, obs.SpanBackoff, j.Done, retry.Earliest, uint64(fault.PointCopy), uint64(meta.attempts), 0)
-	c.freeBulkJob(j)
+	earliest := j.Done + c.retry.Delay(meta.attempts)
+	c.inst.spans.Span(obs.LaneFault, obs.SpanBackoff, j.Done, earliest, uint64(fault.PointCopy), uint64(meta.attempts), 0)
+	on, machine := meta.dstOn, meta.sub.Dst
 	if meta.isRead {
-		c.submitBulk(c.regionOfMachine(meta.sub.Src), meta.sub.Src, retry)
-	} else {
-		c.submitBulk(meta.dstOn, meta.sub.Dst, retry)
+		on, machine = c.regionOfMachine(meta.sub.Src), meta.sub.Src
 	}
+	c.submitBulk(on, machine, j.Tag, j.Duration, earliest, meta)
+	c.jobs.put(j)
 }
 
 // abortSwap starts the rollback of the in-flight background swap: the

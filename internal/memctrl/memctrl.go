@@ -133,16 +133,13 @@ type Controller struct {
 	onCap    uint64
 	migSlots uint64
 
-	// Sentinel metadata for scheme background traffic (see schemeJob).
-	sjFill, sjWB, sjVictimRd, sjProbe, sjWasted *schemeJob
-
 	// Freelists for the per-access and per-copy-leg objects. Access metadata
 	// lives in the Request itself and leg metadata hangs off BulkJob.Meta
 	// (intrusive), so the steady-state data path allocates nothing: completed
 	// objects are recycled as soon as their completion callback returns.
-	reqFree []*sched.Request
-	jobFree []*sched.BulkJob
-	legFree []*legMeta
+	reqs freelist[sched.Request]
+	jobs freelist[sched.BulkJob]
+	legs freelist[legMeta]
 
 	step *stepState // in-flight N-1/Live swap step
 
@@ -265,8 +262,8 @@ type stepState struct {
 // schemeJob is the BulkJob.Meta sentinel distinguishing cache-scheme
 // background traffic (fills, writebacks, victim reads, parallel probes,
 // wasted predictor fetches) from migration copy legs. The five instances
-// live on the controller; pointer identity selects the completion
-// accounting and kind tags them in checkpoints.
+// are the entries of schemeJobs; kind selects the completion accounting
+// and tags them in checkpoints.
 type schemeJob struct {
 	on   bool  // region whose bus the job occupies
 	kind uint8 // checkpoint tag (sjKind*)
@@ -280,6 +277,17 @@ const (
 	sjKindProbe
 	sjKindWasted
 )
+
+// schemeJobs is the read-only sentinel table, indexed by kind (entry 0,
+// a migration copy leg, is never used). Every controller shares it: no
+// field is ever written, so concurrent shards may too.
+var schemeJobs = [...]schemeJob{
+	sjKindFill:     {on: true, kind: sjKindFill},
+	sjKindWB:       {on: false, kind: sjKindWB},
+	sjKindVictimRd: {on: true, kind: sjKindVictimRd},
+	sjKindProbe:    {on: true, kind: sjKindProbe},
+	sjKindWasted:   {on: false, kind: sjKindWasted},
+}
 
 // Request.Stage values for the cache schemes' multi-leg accesses. Stage 0
 // is a plain data access (every request of the default scheme).
@@ -361,13 +369,6 @@ func New(cfg Config, onResult func(AccessResult)) (*Controller, error) {
 		c.cache = mc
 		c.onCap = mc.MemBytes()
 		c.migSlots = mc.MemBytes() / g.MacroPageSize
-	}
-	if c.cache != nil {
-		c.sjFill = &schemeJob{on: true, kind: sjKindFill}
-		c.sjWB = &schemeJob{on: false, kind: sjKindWB}
-		c.sjVictimRd = &schemeJob{on: true, kind: sjKindVictimRd}
-		c.sjProbe = &schemeJob{on: true, kind: sjKindProbe}
-		c.sjWasted = &schemeJob{on: false, kind: sjKindWasted}
 	}
 	var err error
 	if cfg.Migration != nil {
@@ -458,49 +459,25 @@ func (c *Controller) audit(quiescent bool) {
 // Migrator exposes the migration controller (nil under static mapping).
 func (c *Controller) Migrator() *core.Migrator { return c.mig }
 
-// newRequest pops a zeroed request off the freelist (or allocates one while
-// the pool warms up). The scheduler dequeues a request before invoking its
-// completion callback, so recycling inside requestDone is safe.
-func (c *Controller) newRequest() *sched.Request {
-	if n := len(c.reqFree); n > 0 {
-		r := c.reqFree[n-1]
-		c.reqFree = c.reqFree[:n-1]
-		*r = sched.Request{}
-		return r
+// freelist recycles one kind of pooled object. The scheduler dequeues a
+// request or job before invoking its completion callback, so recycling
+// inside that callback is safe.
+type freelist[T any] struct{ free []*T }
+
+// get pops a zeroed object off the list, or allocates one while the pool
+// warms up.
+func (f *freelist[T]) get() *T {
+	if n := len(f.free); n > 0 {
+		x := f.free[n-1]
+		f.free = f.free[:n-1]
+		var zero T
+		*x = zero
+		return x
 	}
-	return new(sched.Request)
+	return new(T)
 }
 
-func (c *Controller) freeRequest(r *sched.Request) { c.reqFree = append(c.reqFree, r) }
-
-// newBulkJob pops a zeroed bulk job off the freelist.
-func (c *Controller) newBulkJob() *sched.BulkJob {
-	if n := len(c.jobFree); n > 0 {
-		j := c.jobFree[n-1]
-		c.jobFree = c.jobFree[:n-1]
-		*j = sched.BulkJob{}
-		return j
-	}
-	return new(sched.BulkJob)
-}
-
-func (c *Controller) freeBulkJob(j *sched.BulkJob) {
-	j.Meta = nil
-	c.jobFree = append(c.jobFree, j)
-}
-
-// newLeg pops a leg-metadata record off the freelist; the caller overwrites
-// every field.
-func (c *Controller) newLeg() *legMeta {
-	if n := len(c.legFree); n > 0 {
-		m := c.legFree[n-1]
-		c.legFree = c.legFree[:n-1]
-		return m
-	}
-	return new(legMeta)
-}
-
-func (c *Controller) freeLeg(m *legMeta) { c.legFree = append(c.legFree, m) }
+func (f *freelist[T]) put(x *T) { f.free = append(f.free, x) }
 
 // sampleSeries snapshots the cumulative pipeline counters into the
 // per-epoch series. Called at every epoch boundary and once at flush
@@ -628,7 +605,7 @@ func (c *Controller) Access(phys uint64, write bool, now int64) error {
 	arrive := issue + lookup + rg.in
 
 	c.reqID++
-	req := c.newRequest()
+	req := c.reqs.get()
 	req.ID = c.reqID
 	req.Arrive = arrive
 	req.Write = write
@@ -670,19 +647,19 @@ func (c *Controller) cacheRoute(phys, machine uint64, write bool, issue int64) {
 		if res.VictimRead {
 			// The tag probe returned no data (cachemode), so the dirty
 			// victim must be read before its off-package write.
-			c.submitSchemeJob(c.sjVictimRd, res.Slot, blk, issue)
+			c.submitSchemeJob(sjKindVictimRd, res.Slot, blk, issue)
 		}
-		c.submitSchemeJob(c.sjWB, res.WBAddr, blk, issue)
+		c.submitSchemeJob(sjKindWB, res.WBAddr, blk, issue)
 	}
 	if res.WastedOff {
 		// Mispredicted hit: the off-package fetch was launched anyway and
 		// burns off-package bandwidth.
-		c.submitSchemeJob(c.sjWasted, machine, blk, issue)
+		c.submitSchemeJob(sjKindWasted, machine, blk, issue)
 	}
 	if res.Probe && res.Parallel {
 		// Predicted miss: the probe burst overlaps the off-package fetch
 		// instead of gating it, so it rides the background queue too.
-		c.submitSchemeJob(c.sjProbe, res.Slot, blk, issue)
+		c.submitSchemeJob(sjKindProbe, res.Slot, blk, issue)
 	}
 
 	lookup := int64(0)
@@ -691,7 +668,7 @@ func (c *Controller) cacheRoute(phys, machine uint64, write bool, issue int64) {
 	}
 
 	c.reqID++
-	r := c.newRequest()
+	r := c.reqs.get()
 	r.ID = c.reqID
 	r.Write = write
 	r.Phys = phys
@@ -724,16 +701,12 @@ func (c *Controller) cacheRoute(phys, machine uint64, write bool, issue int64) {
 	rg.sch.Submit(r, r.Arrive)
 }
 
-// submitSchemeJob queues one block of scheme background traffic on the
-// region's bus. The address only picks the channel; the sentinel metadata
-// selects the completion accounting.
-func (c *Controller) submitSchemeJob(sj *schemeJob, addr, bytes uint64, earliest int64) {
-	j := c.newBulkJob()
-	j.Tag = addr
-	j.Duration = c.subDuration(sj.on, bytes, false)
-	j.Earliest = earliest
-	j.Meta = sj
-	c.submitBulk(sj.on, addr, j)
+// submitSchemeJob queues one block of scheme background traffic of the
+// given kind on its region's bus. The address only picks the channel; the
+// sentinel metadata selects the completion accounting.
+func (c *Controller) submitSchemeJob(kind uint8, addr, bytes uint64, earliest int64) {
+	sj := &schemeJobs[kind]
+	c.submitBulk(sj.on, addr, addr, c.subDuration(sj.on, bytes, false), earliest, sj)
 }
 
 // schemeJobDone retires one scheme background job: meter its energy and
@@ -754,7 +727,7 @@ func (c *Controller) schemeJobDone(sj *schemeJob, j *sched.BulkJob) {
 			c.cfg.Power.Access(sj.on, blk)
 		}
 	}
-	c.freeBulkJob(j)
+	c.jobs.put(j)
 }
 
 // translate maps a physical address to (machine address, onPackage), using
@@ -805,7 +778,7 @@ func (c *Controller) requestDone(r *sched.Request) {
 		// Miss data landed; the fill into the cache slot rides the
 		// background queue. Fall through to the normal accounting: this is
 		// the leg that returned data to the core.
-		c.submitSchemeJob(c.sjFill, r.Aux, c.cache.BlockBytes(), r.Done)
+		c.submitSchemeJob(sjKindFill, r.Aux, c.cache.BlockBytes(), r.Done)
 		r.Stage = 0
 	}
 	rg := c.side(r.OnPkg)
@@ -836,7 +809,7 @@ func (c *Controller) requestDone(r *sched.Request) {
 			Issue: r.Issue, Done: done, Write: r.Write,
 		})
 	}
-	c.freeRequest(r)
+	c.reqs.put(r)
 }
 
 // subDuration is the bus occupancy of one sub-block copy leg on a region:
@@ -899,24 +872,21 @@ func (c *Controller) issueStep(st *stepState, subs []core.SubCopy, earliest int6
 // enqueueReadLeg submits the source-side transfer of one sub-block of st.
 func (c *Controller) enqueueReadLeg(st *stepState, sc core.SubCopy, earliest int64) {
 	srcOn := c.regionOfMachine(sc.Src)
-	dstOn := c.regionOfMachine(sc.Dst)
-	job := c.newBulkJob()
-	job.Tag = uint64(sc.SubIndex)
-	job.Duration = c.subDuration(srcOn, sc.Bytes, sc.Exchange)
-	job.Earliest = earliest + c.cfg.CopyHop
-	meta := c.newLeg()
-	*meta = legMeta{step: st, sub: sc, isRead: true, dstOn: dstOn}
-	job.Meta = meta
-	c.submitBulk(srcOn, sc.Src, job)
+	meta := c.legs.get()
+	*meta = legMeta{step: st, sub: sc, isRead: true, dstOn: c.regionOfMachine(sc.Dst)}
+	c.submitBulk(srcOn, sc.Src, uint64(sc.SubIndex), c.subDuration(srcOn, sc.Bytes, sc.Exchange), earliest+c.cfg.CopyHop, meta)
 }
 
-// submitBulk places a copy leg on the channel its macro page belongs to:
-// DIMM space is interleaved at page granularity, so one page copy draws one
-// channel's bandwidth — the paper's 374 us for a 4 MB page over DDR3-1333
-// is exactly that single-channel figure.
-func (c *Controller) submitBulk(on bool, machine uint64, job *sched.BulkJob) {
+// submitBulk draws a background job from the pool and places it on the
+// channel of the region that machine's macro page belongs to: DIMM space is
+// interleaved at page granularity, so one page copy draws one channel's
+// bandwidth — the paper's 374 us for a 4 MB page over DDR3-1333 is exactly
+// that single-channel figure. It carries every copy leg and scheme job.
+func (c *Controller) submitBulk(on bool, machine, tag uint64, dur, earliest int64, meta any) {
+	j := c.jobs.get()
+	j.Tag, j.Duration, j.Earliest, j.Meta = tag, dur, earliest, meta
 	rg := c.side(on)
-	rg.sch.SubmitBulk(c.pageChannel(rg, machine), job, c.now)
+	rg.sch.SubmitBulk(c.pageChannel(rg, machine), j, c.now)
 }
 
 // pageChannel returns the channel of rg that a machine address's macro page
@@ -942,8 +912,8 @@ func (c *Controller) bulkDone(j *sched.BulkJob) {
 	st := meta.step
 	if st != nil && st.aborted {
 		// Stale leg of an aborted (rolled-back or restarted) step.
-		c.freeLeg(meta)
-		c.freeBulkJob(j)
+		c.legs.put(meta)
+		c.jobs.put(j)
 		return
 	}
 	sub, done := meta.sub, j.Done
@@ -956,8 +926,8 @@ func (c *Controller) bulkDone(j *sched.BulkJob) {
 		case rungAbsorbed:
 			// The leg counts as delivered.
 		case rungExhausted:
-			c.freeLeg(meta)
-			c.freeBulkJob(j)
+			c.legs.put(meta)
+			c.jobs.put(j)
 			if st.undo {
 				c.finishRollback(done, true)
 			} else {
@@ -974,23 +944,18 @@ func (c *Controller) bulkDone(j *sched.BulkJob) {
 		// The leg span covers the whole leg lifetime [Earliest, Done] —
 		// queueing plus bus time, possibly split across stolen quanta.
 		c.landCopy(sub, false, j.Earliest, done)
-		write := c.newBulkJob()
-		write.Tag = j.Tag
-		write.Duration = c.subDuration(meta.dstOn, sub.Bytes, sub.Exchange)
-		write.Earliest = done
 		// The read leg's metadata is reused for the write leg: same step and
 		// sub-block, direction flipped, faulted-attempt count restarted.
 		meta.isRead = false
 		meta.attempts = 0
-		write.Meta = meta
-		c.freeBulkJob(j)
-		c.submitBulk(meta.dstOn, sub.Dst, write)
+		c.submitBulk(meta.dstOn, sub.Dst, j.Tag, c.subDuration(meta.dstOn, sub.Bytes, sub.Exchange), done, meta)
+		c.jobs.put(j)
 		return
 	}
 	// Write leg finished: the sub-block now lives at its destination.
 	c.landCopy(sub, true, j.Earliest, done)
-	c.freeLeg(meta)
-	c.freeBulkJob(j)
+	c.legs.put(meta)
+	c.jobs.put(j)
 	st.subsLeft--
 	if st.undo {
 		// Rollback mini-step: no table mutation, no copy-done notification

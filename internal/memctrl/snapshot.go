@@ -239,12 +239,11 @@ func (c *Controller) attachJobs(s *snap.Stream, jobs []*sched.BulkJob, kinds []u
 	li := 0
 	for i, j := range jobs {
 		if k := kinds[i]; k != 0 {
-			sj := c.schemeJobByKind(k)
-			if sj == nil {
+			if int(k) >= len(schemeJobs) {
 				s.Invalid("unknown scheme-job kind %d", k)
 				return
 			}
-			j.Meta = sj
+			j.Meta = &schemeJobs[k]
 			continue
 		}
 		if li >= len(legs) {
@@ -281,22 +280,4 @@ func (c *Controller) snapFaults(s *snap.Stream) {
 		func(_ *snap.Stream, q *bool) { *q = true })
 	s.Bool(&c.degradePending)
 	s.Bool(&c.degradedMode)
-}
-
-// schemeJobByKind resolves a checkpoint kind tag to the controller's
-// sentinel (nil for an unknown tag).
-func (c *Controller) schemeJobByKind(k uint8) *schemeJob {
-	switch k {
-	case sjKindFill:
-		return c.sjFill
-	case sjKindWB:
-		return c.sjWB
-	case sjKindVictimRd:
-		return c.sjVictimRd
-	case sjKindProbe:
-		return c.sjProbe
-	case sjKindWasted:
-		return c.sjWasted
-	}
-	return nil
 }
