@@ -200,7 +200,7 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		workers:  map[string]*workerState{},
 		// Heartbeat intervals span one checkpoint (~ms) to a full TTL (~s);
 		// RTTs span loopback (~µs) to congested WAN (~s); checkpoints run
-		// from a few hundred bytes to the 64 MiB frame cap.
+		// from a few hundred bytes to the 256 MiB frame cap.
 		hbInterval: obs.NewHistogram(obs.ExpBuckets(1, 18)),   // 1ms .. ~131s
 		hbRTT:      obs.NewHistogram(obs.ExpBuckets(16, 18)),  // 16µs .. ~2.1s
 		ckptBytes:  obs.NewHistogram(obs.ExpBuckets(256, 18)), // 256B .. 32MiB
@@ -736,6 +736,7 @@ func (c *Coordinator) complete(id uint64, records uint64, result []byte) envelop
 		ws.cells--
 	}
 	if records > st.records {
+		c.cfg.Telemetry.AddRecords(records - st.records)
 		ws.records += records - st.records
 		st.records = records
 	}

@@ -311,6 +311,41 @@ func TestDistributedSweepMatchesDirect(t *testing.T) {
 	}
 }
 
+// TestTelemetryCountsRecordsAfterLastHeartbeat: a checkpoint cadence that
+// does not divide the cell budget leaves records simulated after the last
+// heartbeat, which only the completion reports. The sweep totals must count
+// them too, so /progress ends at the cells' summed records.
+func TestTelemetryCountsRecordsAfterLastHeartbeat(t *testing.T) {
+	cells := []CellSpec{
+		{Workload: "pgbench", Seed: 1, Design: "live", Interval: 1000, Records: 60_000},
+		{Workload: "FT", Seed: 2, Design: "none", Records: 20_000},
+	}
+	dir := t.TempDir()
+	tel := experiments.NewTelemetry()
+	_, addr, wait := startCoordinator(t, context.Background(), CoordinatorConfig{
+		Cells:           cells,
+		Manifest:        openManifest(t, filepath.Join(dir, "sweep.jsonl")),
+		Telemetry:       tel,
+		SpillDir:        dir,
+		CheckpointEvery: 7_000,
+	})
+	worker := make(chan error, 1)
+	go func() { worker <- RunWorker(context.Background(), addr, WorkerConfig{Name: "w0"}) }()
+	if err := wait(); err != nil {
+		t.Fatalf("coordinator: %v", err)
+	}
+	if err := <-worker; err != nil {
+		t.Fatalf("worker: %v", err)
+	}
+	var want uint64
+	for _, c := range cells {
+		want += c.Records
+	}
+	if got := tel.Progress().Records; got != want {
+		t.Errorf("telemetry records = %d, want the cells' %d", got, want)
+	}
+}
+
 // stubWorker is a hand-driven protocol client for failure-injection tests.
 type stubWorker struct {
 	t    *testing.T
