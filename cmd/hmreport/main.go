@@ -391,16 +391,17 @@ func writeTrajectory(ctx context.Context, w io.Writer, dir string, p experiments
 
 func f(v float64) string { return strconv.FormatFloat(v, 'f', 2, 64) }
 
+// writeCSV writes rows to a new file at path. The file's Close error is
+// returned too: data the kernel fails to write back only at close must not
+// pass as a success.
 func writeCSV(path string, rows [][]string) error {
 	fd, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	defer fd.Close()
-	w := csv.NewWriter(fd)
-	if err := w.WriteAll(rows); err != nil {
+	if err := csv.NewWriter(fd).WriteAll(rows); err != nil {
+		fd.Close()
 		return err
 	}
-	w.Flush()
-	return w.Error()
+	return fd.Close()
 }
