@@ -8,7 +8,10 @@
 // (Fig. 6 of the paper).
 package addr
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Bits is the width of the simulated physical address space.
 const Bits = 48
@@ -40,7 +43,7 @@ func NewPageGeom(pageSize uint64) (PageGeom, error) {
 	if pageSize&(pageSize-1) != 0 {
 		return PageGeom{}, fmt.Errorf("addr: macro-page size %d not a power of two", pageSize)
 	}
-	return PageGeom{PageSize: pageSize, offsetLen: uint(log2(pageSize))}, nil
+	return PageGeom{PageSize: pageSize, offsetLen: uint(bits.Len64(pageSize) - 1)}, nil
 }
 
 // MustPageGeom is NewPageGeom that panics on error; for constants in tests
@@ -70,16 +73,6 @@ func (g PageGeom) Join(page, offset uint64) uint64 {
 // PagesIn returns how many macro pages cover the given capacity in bytes.
 // The capacity must be a multiple of the page size.
 func (g PageGeom) PagesIn(capacity uint64) uint64 { return capacity / g.PageSize }
-
-// log2 of a power of two.
-func log2(v uint64) uint {
-	var n uint
-	for v > 1 {
-		v >>= 1
-		n++
-	}
-	return n
-}
 
 // AlignDown rounds a down to a multiple of size (power of two).
 func AlignDown(a, size uint64) uint64 { return a &^ (size - 1) }

@@ -7,7 +7,10 @@
 // specialized Interleave form, which strips the channel bits in O(1).
 package addr
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // BitField selects Width consecutive bits starting at bit Offset of a
 // physical address. A zero Width means the field is absent (it always
@@ -179,7 +182,7 @@ func NewInterleave(channels int, granularity uint64) (Interleave, error) {
 	if granularity == 0 || granularity&(granularity-1) != 0 {
 		return Interleave{}, fmt.Errorf("addr: interleave granularity %d must be a positive power of two", granularity)
 	}
-	iv := Interleave{shift: uint(log2(granularity)), width: uint(log2(uint64(channels)))}
+	iv := Interleave{shift: uint(bits.Len64(granularity) - 1), width: uint(bits.Len64(uint64(channels)) - 1)}
 	if iv.shift+iv.width > Bits {
 		return Interleave{}, fmt.Errorf("addr: channel field [%d,%d) outside the %d-bit physical space",
 			iv.shift, iv.shift+iv.width, Bits)

@@ -14,6 +14,7 @@ package dram
 
 import (
 	"fmt"
+	"math/bits"
 
 	"heteromem/internal/config"
 	"heteromem/internal/obs"
@@ -78,14 +79,14 @@ func New(geom Geometry, timing config.DDR3Timing) (*Device, error) {
 	if geom.RowBytes == 0 || geom.RowBytes%geom.BurstBytes != 0 {
 		return nil, fmt.Errorf("dram: row %d must be a positive multiple of burst %d", geom.RowBytes, geom.BurstBytes)
 	}
-	bankShift := log2(uint64(geom.Channels)) + log2(geom.RowBytes/geom.BurstBytes)
+	bankShift := uint(bits.Len64(uint64(geom.Channels)) + bits.Len64(geom.RowBytes/geom.BurstBytes) - 2)
 	d := &Device{
 		geom:       geom,
 		timing:     timing,
 		busFree:    make([]int64, geom.Channels),
-		burstShift: log2(geom.BurstBytes),
+		burstShift: uint(bits.Len64(geom.BurstBytes) - 1),
 		bankShift:  bankShift,
-		rowShift:   bankShift + log2(uint64(geom.BanksPerCh)),
+		rowShift:   bankShift + uint(bits.Len64(uint64(geom.BanksPerCh))-1),
 		bankMask:   uint64(geom.BanksPerCh - 1),
 		chanMask:   uint64(geom.Channels - 1),
 	}
@@ -234,7 +235,7 @@ func (d *Device) ReserveSlice(ch int, at, dur int64) int64 {
 // CountTransfer counts the bursts of a bus transfer of dur cycles: dur /
 // TBurst, floored.
 func (d *Device) CountTransfer(dur int64) {
-	d.bursts += uint64(dur / max64(d.timing.TBurst, 1))
+	d.bursts += uint64(dur / max(d.timing.TBurst, 1))
 }
 
 // Stats returns cumulative (rowHits, rowMisses, rowConflicts, bursts).
@@ -295,20 +296,4 @@ func (d *Device) afterRefresh(t int64) int64 {
 		return winStart + d.timing.TRFC
 	}
 	return t
-}
-
-func log2(v uint64) uint {
-	var n uint
-	for v > 1 {
-		v >>= 1
-		n++
-	}
-	return n
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -47,12 +47,12 @@ func refDrain(s *Scheduler, ch int, now int64) {
 				switch {
 				case len(fg) == 0:
 					if bgAt < now {
-						quantum = min64(j.remaining, now-bgAt)
+						quantum = min(j.remaining, now-bgAt)
 					}
 				case fgAt > bgAt:
-					quantum = min64(j.remaining, fgAt-bgAt)
+					quantum = min(j.remaining, fgAt-bgAt)
 				case now-j.enqueued > s.aging && now-s.grant[ch] > s.aging:
-					quantum = min64(j.remaining, s.quantum)
+					quantum = min(j.remaining, s.quantum)
 					j.enqueued = now
 					s.grant[ch] = now
 					s.agingGrants++

@@ -410,14 +410,14 @@ func (s *Scheduler) drain(ch int, now int64) {
 					quantum = j.remaining
 				case fgAt > bgAt:
 					// Fill the gap before the next foreground decision.
-					quantum = min64(j.remaining, fgAt-bgAt)
+					quantum = min(j.remaining, fgAt-bgAt)
 				case now-j.enqueued > s.aging && now-s.grant[ch] > s.aging:
 					// Saturated channel: the job has starved a full aging
 					// period of wall-clock time; grant one quantum ahead of
 					// foreground work so copies keep a minimum service rate.
 					// The grant time is per channel so a backlog of equally
 					// starved jobs cannot cascade back-to-back.
-					quantum = min64(j.remaining, s.quantum)
+					quantum = min(j.remaining, s.quantum)
 					j.enqueued = now
 					s.grant[ch] = now
 					s.agingGrants++
@@ -546,10 +546,3 @@ func (s *Scheduler) Stats() (served, bulkServed uint64, sumQueueing int64) {
 
 // Device exposes the underlying DRAM model (for stats and power).
 func (s *Scheduler) Device() *dram.Device { return s.dev }
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
