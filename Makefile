@@ -61,17 +61,17 @@ fuzz-regression:
 	$(GO) test -run '^Fuzz' ./...
 
 # Active fuzzing (not part of ci; run locally when touching the parsers).
+# It asks every package for its fuzz targets and fuzzes each in turn (go
+# test -fuzz takes one target per run), so a new one is never left out.
 FUZZTIME ?= 30s
 fuzz:
-	$(GO) test ./internal/trace/ -fuzz FuzzReader -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/trace/ -fuzz FuzzPackedTrace -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/fault/ -fuzz FuzzParseSchedule -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/snap/ -fuzz FuzzSnapshotRestore -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/addr/ -fuzz FuzzAddressMapping -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/cache/ -fuzz FuzzSetCodec -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/dsweep/ -fuzz FuzzReadFrame -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/flog/ -fuzz FuzzJournalRead -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/sim/ -fuzz FuzzCheckpointRestore -fuzztime $(FUZZTIME)
+	@set -ef; pkgs=$$($(GO) list ./...); for pkg in $$pkgs; do \
+		names=$$($(GO) test -list '^Fuzz' $$pkg); \
+		for name in $$names; do case $$name in Fuzz*) \
+			echo "$(GO) test $$pkg -fuzz '^$$name\$$' -fuzztime $(FUZZTIME)"; \
+			$(GO) test $$pkg -fuzz "^$$name\$$" -fuzztime $(FUZZTIME);; \
+		esac; done; \
+	done
 
 # Benchmarks: the raw text is benchstat input, the JSON is the archived
 # machine-readable form. Both default to untracked BENCH_local names, so a
