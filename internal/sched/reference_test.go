@@ -190,12 +190,12 @@ func (g *schedRig) build(t *testing.T) *Scheduler {
 }
 
 // requestDone logs a completion; every seventh request chains a follow-on
-// leg that arrives when it completes, submitted at the controller clock
-// like a cache scheme's tag-then-data access.
+// leg on the same channel that arrives when it completes, submitted at the
+// controller clock like a cache scheme's tag-then-data access.
 func (g *schedRig) requestDone(r *Request) {
 	g.log = append(g.log, fmt.Sprintf("req %d start %d done %d core %d attempts %d", r.ID, r.Start, r.Done, r.CoreLat, r.Attempts))
 	if r.ID%7 == 0 {
-		g.submit(&Request{ID: r.ID + 1_000_000_000, Arrive: r.Done, Addr: r.Addr + 64}, g.clock)
+		g.submit(&Request{ID: r.ID + 1_000_000_000, Arrive: r.Done, Addr: r.Addr + 64*uint64(g.channels)}, g.clock)
 	}
 }
 
@@ -310,10 +310,12 @@ func (g *schedRig) restore(t *testing.T) {
 // and the per-access reference from one random stream of the operations
 // the memory controller issues: Advance at a rising clock; Submit with
 // arrivals ahead of the clock, some earlier than arrivals already
-// submitted, drained at the arrival or at the clock; SubmitBulk with a
-// future Earliest; synchronous reservations; faulted retries; and
-// checkpoint restores while a deferral is pending. Every completion,
-// reservation, counter and settled bus clock must be identical.
+// submitted, drained at the arrival, at the clock or (a tenth of them) up
+// to 600 cycles after the arrival; chained legs submitted from completion
+// callbacks onto the completed request's channel; SubmitBulk with a future
+// Earliest; synchronous reservations; faulted retries; and checkpoint
+// restores while a deferral is pending. Every completion, reservation,
+// counter and settled bus clock must be identical.
 func TestSchedulerMatchesPerAccessReference(t *testing.T) {
 	configs := []struct {
 		name string
@@ -352,16 +354,17 @@ func TestSchedulerMatchesPerAccessReference(t *testing.T) {
 								addr = uint64(rng.Intn(1<<14)) * 64
 							}
 							arrive := clock + int64(rng.Intn(400))
-							atArrival := rng.Intn(5) != 0
+							now := clock
+							switch {
+							case rng.Intn(10) == 0:
+								now = arrive + int64(rng.Intn(600)) // submitted late
+							case rng.Intn(5) != 0:
+								now = arrive
+							}
 							write := rng.Intn(4) == 0
 							ev.nextID++
 							for _, g := range rigs {
-								r := &Request{ID: ev.nextID, Arrive: arrive, Addr: addr, Write: write}
-								if atArrival {
-									g.submit(r, arrive)
-								} else {
-									g.submit(r, clock)
-								}
+								g.submit(&Request{ID: ev.nextID, Arrive: arrive, Addr: addr, Write: write}, now)
 							}
 						case k < 88:
 							now := clock + int64(rng.Intn(100))

@@ -24,6 +24,10 @@
 // progress the clock owes it is applied in one reservation (settled) when
 // something next needs the channel's bus, which reserves exactly what a
 // drain at every clock would have.
+//
+// A request submitted to a channel with nothing queued, whose decision time
+// has already come, is served at Submit without entering the queue: it is
+// the one pick a drain would make.
 package sched
 
 import (
@@ -173,6 +177,10 @@ type Scheduler struct {
 	// later Advance that skipped the channel. settle reserves it.
 	owed []int64
 	idle uint64
+	// due is a lower bound on the wake of every busy channel: Advance at a
+	// clock below it has nothing to drain. Every drain that stores a wake
+	// lowers it, and a full Advance pass recomputes it.
+	due int64
 
 	served      uint64
 	bulkServed  uint64
@@ -223,10 +231,26 @@ func New(dev *dram.Device, cfg Config, onDone func(*Request), onBulk func(*BulkJ
 
 // Submit enqueues a request and advances its channel as far as the global
 // clock `now` (>= r.Arrive) allows.
+//
+// A request whose channel has no request or background job queued, and
+// whose decision time max(next, Arrive) has come, is served at once: a
+// drain's first pick would be this request and nothing else. Only when its
+// fault retry or completion callback leaves work on the channel does the
+// drain run, from where its loop would have gone on.
 func (s *Scheduler) Submit(r *Request, now int64) {
 	r.loc = s.dev.Decode(r.Addr)
-	s.insert(r.loc.Channel, r)
-	s.drain(r.loc.Channel, now)
+	ch := r.loc.Channel
+	if len(s.pending[ch]) == 0 && s.bulk[ch].n == 0 {
+		if at := max(s.next[ch], r.Arrive); at <= now {
+			s.serve(ch, r, at)
+			if len(s.pending[ch]) > 0 || s.bulk[ch].n > 0 {
+				s.drain(ch, now)
+			}
+			return
+		}
+	}
+	s.insert(ch, r)
+	s.drain(ch, now)
 }
 
 // SetFaultHandler installs the retry-policy callback consulted when the
@@ -270,28 +294,58 @@ func (s *Scheduler) SubmitBulk(ch int, j *BulkJob, now int64) {
 // call this periodically so background traffic progresses on channels with
 // no foreground arrivals.
 //
-// Advance runs on every access, so it visits only the busy channels, in
-// ascending order, and drains only those whose wake has come. The mask is
-// re-read after each drain: a completion callback may queue work on a
-// later channel, which is then drained in the same call.
+// Advance runs on every access. While the clock is below the due bound, no
+// busy channel's wake has come and a pass would drain nothing; with no
+// channel idle either, it would change nothing, and Advance returns at
+// once.
 func (s *Scheduler) Advance(now int64) {
+	if now < s.due && s.idle == 0 {
+		return
+	}
+	s.advance(now)
+}
+
+// advance is the rest of Advance. Below the due bound a pass would only
+// move the clock owed to idle channels, so that is all it does. Only idle
+// channels need it: a drain overwrites a channel's owed clock when it sets
+// the channel's idle bit.
+//
+// Otherwise it visits the busy channels in ascending order, drains those
+// whose wake has come and recomputes the due bound from the rest. The mask
+// is re-read after each drain: a completion callback may queue work on a
+// later channel, which is then drained in the same call.
+func (s *Scheduler) advance(now int64) {
+	if now < s.due {
+		for idle := s.idle; idle != 0; idle &= idle - 1 {
+			ch := bits.TrailingZeros64(idle)
+			s.owed[ch] = max(s.owed[ch], now)
+		}
+		return
+	}
+	s.due = math.MaxInt64
 	for ch := 0; ; ch++ {
 		later := s.busy >> uint(ch)
 		if later == 0 {
 			return
 		}
 		ch += bits.TrailingZeros64(later)
-		if s.wake[ch] > now {
+		if w := s.wake[ch]; w > now {
 			// A drain would change nothing but an idle job's progress, and
 			// that is owed instead. The deferring drain may have run at a
 			// Submit's arrival, ahead of this clock: keep the larger.
-			if now > s.owed[ch] {
-				s.owed[ch] = now
-			}
+			s.owed[ch] = max(s.owed[ch], now)
+			s.due = min(s.due, w)
 			continue
 		}
 		s.drain(ch, now)
 	}
+}
+
+// sleep records that channel ch has nothing to drain before the clock
+// reaches wake.
+func (s *Scheduler) sleep(ch int, wake int64) {
+	s.wake[ch] = wake
+	s.due = min(s.due, wake)
 }
 
 // ReserveBus books dur cycles of channel ch's bus for a synchronous
@@ -404,7 +458,7 @@ func (s *Scheduler) drain(ch int, now int64) {
 					if done := bgAt + j.remaining; done > now {
 						s.idle |= 1 << uint(ch)
 						s.owed[ch] = now
-						s.wake[ch] = done
+						s.sleep(ch, done)
 						return
 					}
 					quantum = j.remaining
@@ -437,11 +491,11 @@ func (s *Scheduler) drain(ch int, now int64) {
 					continue
 				}
 				if len(fg) == 0 {
-					s.wake[ch] = 0 // a job with nothing left to run
+					s.sleep(ch, 0) // a job with nothing left to run
 					return
 				}
 			} else if len(fg) == 0 {
-				s.wake[ch] = j.Earliest
+				s.sleep(ch, j.Earliest)
 				return
 			}
 		}
@@ -459,7 +513,7 @@ func (s *Scheduler) drain(ch int, now int64) {
 				}
 				wake = min(wake, max(j.enqueued, s.grant[ch])+s.aging+1)
 			}
-			s.wake[ch] = wake
+			s.sleep(ch, wake)
 			return
 		}
 
@@ -481,30 +535,37 @@ func (s *Scheduler) drain(ch int, now int64) {
 			pick = 0
 		}
 		r := fg[pick]
-		done, coreLat, faulted := s.dev.ServiceChecked(r.loc, r.Write, fgAt)
-		if n := done - s.tcl; n > s.next[ch] {
-			s.next[ch] = n
-		}
 		n := pick + copy(fg[pick:], fg[pick+1:])
 		fg[n] = nil
 		s.pending[ch] = fg[:n]
-		if faulted && s.onFault != nil {
-			if retry, backoff := s.onFault(r); retry {
-				// The bad burst consumed real bus time; the retry re-arrives
-				// after the backoff and arbitrates like any other request.
-				r.Attempts++
-				r.Arrive = done + backoff
-				s.insert(ch, r)
-				continue
-			}
+		s.serve(ch, r, fgAt)
+	}
+}
+
+// serve commits request r, already out of channel ch's queue, at decision
+// time at: its burst, the channel's next decision time, and then either a
+// fault retry, which queues r again, or its completion.
+func (s *Scheduler) serve(ch int, r *Request, at int64) {
+	done, coreLat, faulted := s.dev.ServiceChecked(r.loc, r.Write, at)
+	if n := done - s.tcl; n > s.next[ch] {
+		s.next[ch] = n
+	}
+	if faulted && s.onFault != nil {
+		if retry, backoff := s.onFault(r); retry {
+			// The bad burst consumed real bus time; the retry re-arrives
+			// after the backoff and arbitrates like any other request.
+			r.Attempts++
+			r.Arrive = done + backoff
+			s.insert(ch, r)
+			return
 		}
-		r.Start = fgAt
-		r.Done, r.CoreLat = done, coreLat
-		s.served++
-		s.sumQueueing += r.Start - r.Arrive
-		if s.onDone != nil {
-			s.onDone(r)
-		}
+	}
+	r.Start = at
+	r.Done, r.CoreLat = done, coreLat
+	s.served++
+	s.sumQueueing += r.Start - r.Arrive
+	if s.onDone != nil {
+		s.onDone(r)
 	}
 }
 

@@ -22,13 +22,13 @@ const (
 // The derived state, the busy mask and each request's decoded location, is
 // rebuilt rather than serialized.
 //
-// Owed background progress is not serialized either: Settle the scheduler
-// before its device is written. A restored scheduler owes nothing and
-// drains every busy channel at its next Advance.
+// Owed background progress and the due bound are not serialized either:
+// Settle the scheduler before its device is written. A restored scheduler
+// owes nothing and drains every busy channel at its next Advance.
 func (s *Scheduler) Snap(st *snap.Stream) {
 	st.Shape(len(s.pending), "scheduler channels")
 	if st.Reading() {
-		s.busy, s.idle = 0, 0
+		s.busy, s.idle, s.due = 0, 0, 0
 		clear(s.wake)
 	}
 	for ch := range s.pending {
