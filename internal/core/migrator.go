@@ -186,8 +186,18 @@ type Migrator struct {
 		done    []bool
 	}
 
+	// hit is the table translation Translate last made, page to machine
+	// page, kept for the OnAccess of the same access. Its page is noPage
+	// when there is none: after the live-fill path, which the table does not
+	// decide, and after anything that changes the table or the fill state.
+	hit struct{ page, machine uint64 }
+
 	stats Stats
 }
+
+// noPage is the hit page that matches no page: page numbers are addresses
+// shifted right by the page offset bits, so none is all ones.
+const noPage = ^uint64(0)
 
 // NewMigrator validates opt and builds the controller with the identity
 // initial mapping (lowest memory on-package).
@@ -244,6 +254,7 @@ func NewMigrator(opt Options) (*Migrator, error) {
 		slotCount:   make([]uint32, opt.Slots),
 		lastSub:     make([]int32, opt.TotalPages),
 	}
+	m.hit.page = noPage
 	for i := range m.lastSub {
 		m.lastSub[i] = -1
 	}
@@ -279,6 +290,7 @@ func (m *Migrator) Translate(phys uint64) (machine uint64, onPackage bool) {
 	p := m.geom.PageOf(phys)
 	off := m.geom.OffsetOf(phys)
 	if m.fill.active && p == m.fill.phys {
+		m.hit.page = noPage
 		sub := int(off / m.opt.SubBlockSize)
 		if m.fill.done[sub] {
 			m.stats.LiveEarlyHits++
@@ -287,11 +299,19 @@ func (m *Migrator) Translate(phys uint64) (machine uint64, onPackage bool) {
 		return m.geom.Join(m.fill.old, off), false
 	}
 	mp, on := m.table.MachinePage(p)
+	m.hit.page, m.hit.machine = p, mp
 	return m.geom.Join(mp, off), on
 }
 
+// forget drops the translation kept for OnAccess; everything that changes
+// the table or the live-fill state calls it.
+func (m *Migrator) forget() { m.hit.page = noPage }
+
 // OnAccess feeds one program access into the hotness trackers. onPackage
-// must be the routing Translate returned for the same access.
+// must be the routing Translate returned for the same access. The machine
+// page Translate resolved for that access is reused, so a controller pays
+// one table lookup per access; a page Translate did not resolve last (or
+// resolved through the live-fill bitmap) is looked up again.
 func (m *Migrator) OnAccess(phys uint64, onPackage bool) {
 	if m.degraded {
 		return // mapping is frozen; hotness tracking is pointless
@@ -300,11 +320,16 @@ func (m *Migrator) OnAccess(phys uint64, onPackage bool) {
 	if p >= m.table.total {
 		return // reserved pages are not tracked
 	}
-	if p < m.table.n && m.table.exiledTo[p] != Empty {
-		return // exiled pages can never re-promote (their slot is dead)
+	mp := m.hit.machine
+	if p != m.hit.page {
+		mp, _ = m.table.MachinePage(p)
+	}
+	if mp > m.table.Omega() {
+		// Only an exiled page translates past Ω, to its spare frame; it can
+		// never re-promote (its slot is dead).
+		return
 	}
 	if onPackage {
-		mp, _ := m.table.MachinePage(p)
 		if m.fill.active && p == m.fill.phys {
 			mp = m.fill.dstSlot
 		}
@@ -337,6 +362,12 @@ func (m *Migrator) EpochTick() []SubCopy {
 	if m.sinceTick < m.opt.SwapInterval {
 		return nil
 	}
+	return m.endEpoch()
+}
+
+// endEpoch is EpochTick at an epoch's end, kept apart so the per-access
+// count inlines into the caller.
+func (m *Migrator) endEpoch() []SubCopy {
 	m.sinceTick = 0
 	m.stats.Epochs++
 
@@ -465,6 +496,7 @@ func (m *Migrator) CurrentPlan() (mru uint64, victim int, step, steps int, ok bo
 // fill state when applicable. Copy order is critical-data-first for live
 // critical steps: start at the most recently touched sub-block and wrap.
 func (m *Migrator) startStep() []SubCopy {
+	m.forget()
 	st := m.plan.Steps[m.stepIdx]
 	nsub := m.SubBlocksPerPage()
 	start := 0
@@ -516,6 +548,7 @@ func (m *Migrator) StepDone() (next []SubCopy, done bool, err error) {
 		m.fill.active = false
 		m.fill.done = nil
 	}
+	m.forget()
 	if err := st.apply(m.table); err != nil {
 		m.plan = nil
 		return nil, true, fmt.Errorf("core: swap step %q: %w", st.Label, err)
@@ -654,6 +687,7 @@ func (m *Migrator) RollbackDone() error {
 	if m.plan == nil || !m.rollback {
 		return fmt.Errorf("core: RollbackDone with no rollback in flight")
 	}
+	m.forget()
 	if err := m.table.Restore(m.snap); err != nil {
 		return err
 	}
@@ -698,6 +732,7 @@ func (m *Migrator) RetireSlot(s int) ([]SubCopy, error) {
 	default:
 		copies = append(copies, m.pageCopy(r, spare, false), m.pageCopy(uint64(s), r, false))
 	}
+	m.forget()
 	if _, _, err := m.table.RetireSlot(s); err != nil {
 		return nil, err
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"heteromem/internal/policy"
@@ -159,6 +160,133 @@ func TestRepinMatchesFullRebuild(t *testing.T) {
 			}
 			if d != DesignN && restores == 0 {
 				t.Fatal("no swap moved the empty row before a restore could be taken")
+			}
+		})
+	}
+}
+
+// snapBytes returns m's checkpoint bytes.
+func snapBytes(t *testing.T, m *Migrator) []byte {
+	t.Helper()
+	e := snap.NewEncoder()
+	m.Snap(e.Section("migrator"))
+	blob, err := e.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return blob
+}
+
+// TestOnAccessReuseMatchesLookup drives two migrators through one random
+// walk of accesses, swap steps (live fills included), rollbacks, slot
+// retirements and restores. One feeds OnAccess the machine page Translate
+// resolved; the other forgets it, so OnAccess looks the table up again.
+// Some accesses complete a swap step between Translate and OnAccess, after
+// which the kept page must not be reused. Their checkpoint bytes must
+// agree after every event.
+func TestOnAccessReuseMatchesLookup(t *testing.T) {
+	for _, d := range []Design{DesignN, DesignN1, DesignLive} {
+		t.Run(d.String(), func(t *testing.T) {
+			var migs [2]*Migrator
+			for i := range migs {
+				m, err := NewMigrator(Options{
+					Design: d, Slots: 8, TotalPages: 32, PageSize: 4096, SubBlockSize: 512, SwapInterval: 50,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				migs[i] = m
+			}
+			rng := rand.New(rand.NewSource(int64(d) + 7))
+			var subs []SubCopy
+			// copySubs marks the next k sub-blocks copied on both migrators
+			// and finishes the step once all of them are.
+			copySubs := func(k int) {
+				var next []SubCopy
+				for _, m := range migs {
+					for _, sc := range subs[:k] {
+						m.SubDone(sc.SubIndex)
+					}
+					if k < len(subs) {
+						continue
+					}
+					var err error
+					if next, _, err = m.StepDone(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if subs = subs[k:]; len(subs) == 0 {
+					subs = next
+				}
+			}
+			var reused, between, retires, restores int
+			for i := 0; i < 40_000; i++ {
+				switch {
+				case subs != nil && rng.Intn(40) == 0:
+					for _, m := range migs {
+						if _, err := m.AbortSwap(nil); err != nil {
+							t.Fatal(err)
+						}
+						if err := m.RollbackDone(); err != nil {
+							t.Fatal(err)
+						}
+					}
+					subs = nil
+				case subs != nil && rng.Intn(200) == 0:
+					for j := range migs {
+						migs[j] = restoreMidSwap(t, migs[j])
+					}
+					restores++
+				case subs != nil && rng.Intn(2) == 0:
+					copySubs(min(len(subs), 1+rng.Intn(4)))
+				case subs == nil && retires < 2 && i > 20_000 && rng.Intn(1000) == 0:
+					s := rng.Intn(int(migs[0].table.Slots()))
+					if migs[0].table.Retired(s) || s == migs[0].table.EmptyRow() {
+						continue
+					}
+					for _, m := range migs {
+						if _, err := m.RetireSlot(s); err != nil {
+							t.Fatal(err)
+						}
+					}
+					retires++
+				default:
+					page := uint64(rng.Intn(32))
+					if rng.Intn(4) > 0 {
+						page = uint64(8 + rng.Intn(6)) // hot off-package set
+					}
+					phys := page*4096 + uint64(rng.Intn(64))*64
+					var on [2]bool
+					for j, m := range migs {
+						_, on[j] = m.Translate(phys)
+						if j == 1 {
+							m.forget()
+						}
+					}
+					if subs != nil && rng.Intn(8) == 0 {
+						copySubs(len(subs)) // the table changes under the access
+						between++
+					}
+					if migs[0].hit.page != noPage {
+						reused++
+					}
+					for j, m := range migs {
+						m.OnAccess(phys, on[j])
+						if started := m.EpochTick(); started != nil && j == 0 {
+							subs = started
+						}
+					}
+				}
+				if !slices.Equal(snapBytes(t, migs[0]), snapBytes(t, migs[1])) {
+					t.Fatalf("event %d: migrator state differs between reused and looked-up translations", i)
+				}
+			}
+			st := migs[0].Stats()
+			t.Logf("%d reused translations, %d steps between Translate and OnAccess, %d swaps, %d rollbacks, %d early live hits, %d retirements, %d restores",
+				reused, between, st.SwapsCompleted, st.SwapsRolledBack, st.LiveEarlyHits, retires, restores)
+			if st.SwapsCompleted == 0 || st.SwapsRolledBack == 0 || between == 0 || retires == 0 || restores == 0 ||
+				(d == DesignLive && st.LiveEarlyHits == 0) {
+				t.Fatal("the random walk missed swaps, rollbacks, steps under an access, retirements, restores or live fills")
 			}
 		})
 	}

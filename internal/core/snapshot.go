@@ -131,6 +131,9 @@ func (c *SubCopy) Snap(s *snap.Stream) {
 // plan steps), the live-fill state, and the activity counters. Options and
 // geometry are construction inputs.
 func (m *Migrator) Snap(s *snap.Stream) {
+	if s.Reading() {
+		m.forget()
+	}
 	m.table.Snap(s)
 	m.mq.Snap(s)
 	m.clock.Snap(s)
