@@ -215,3 +215,96 @@ func TestPackNoProgressSource(t *testing.T) {
 type noProgressSource struct{}
 
 func (noProgressSource) NextBatch(*Batch) (int, error) { return 0, nil }
+
+// wideRecords builds n records whose chunks have columns 57 to 64 bits
+// wide: cycles that step backwards (a wrapped 64-bit delta) or forwards by
+// 2^56 or more, and addresses up to 2^60 apart. Chunk 1 is all reads on CPU 0, so
+// its CPU and write columns are zero bits wide.
+func wideRecords(n int) []Record {
+	recs := make([]Record, n)
+	cycle := uint64(1) << 62
+	for i := range recs {
+		c := i / PackedChunkRecords
+		switch {
+		case i%97 != 0:
+			cycle += uint64(i % 50)
+		case c%2 == 0:
+			cycle -= 1000
+		default:
+			cycle += 1 << (55 + c)
+		}
+		r := Record{Cycle: cycle, Addr: uint64(i%(2*c+2))<<60 | uint64(i)}
+		if c != 1 {
+			r.CPU, r.Write = uint8(i%5), i%3 == 0
+		}
+		recs[i] = r
+	}
+	return recs
+}
+
+// TestPackedSourceInPlaceDecode reads wide chunks through NextBatch in
+// chunk-sized batches, which decode each chunk straight into the batch,
+// and in 1,000-record batches, which take parts of chunks through the
+// source's own buffer. Then it seeks back into the chunk read last: after
+// an in-place decode the buffer holds no chunk, so the seek must decode
+// it again. Every record read must equal the one packed, and the records
+// after the seek must equal a fresh source's.
+func TestPackedSourceInPlaceDecode(t *testing.T) {
+	recs := wideRecords(4*PackedChunkRecords + 123)
+	p := PackRecords(recs)
+	widths := map[uint8]bool{}
+	for i := range p.chunks {
+		c := &p.chunks[i]
+		if c.cycleBits < 57 || c.addrBits < 57 {
+			t.Fatalf("chunk %d: cycle and address columns %d and %d bits wide, want 57 to 64", i, c.cycleBits, c.addrBits)
+		}
+		widths[c.cycleBits], widths[c.addrBits] = true, true
+	}
+	if c := &p.chunks[1]; c.cpuBits != 0 || c.writeBits != 0 {
+		t.Fatalf("chunk 1: CPU and write columns %d and %d bits wide, want 0", c.cpuBits, c.writeBits)
+	}
+	t.Logf("column widths %v", widths)
+
+	read := func(src *PackedSource, size, from, upTo int) {
+		t.Helper()
+		var b Batch
+		for i := from; i < upTo; {
+			b.Resize(min(size, upTo-i))
+			k, err := src.NextBatch(&b)
+			if err != nil {
+				t.Fatalf("batch %d at record %d: %v", size, i, err)
+			}
+			for j := range k {
+				if got := b.Record(j); got != recs[i+j] {
+					t.Fatalf("batch %d: record %d = %+v, want %+v", size, i+j, got, recs[i+j])
+				}
+			}
+			i += k
+			if pos := src.Position(); pos != uint64(i) {
+				t.Fatalf("batch %d: Position %d after %d records", size, pos, i)
+			}
+		}
+	}
+	for _, size := range []int{PackedChunkRecords, 1000} {
+		src := NewPackedSource(p)
+		read(src, size, 0, 2*PackedChunkRecords)
+		seek := PackedChunkRecords + 10 // into chunk 1, the chunk read last
+		if err := src.SkipTo(uint64(seek)); err != nil {
+			t.Fatal(err)
+		}
+		if pos := src.Position(); pos != uint64(seek) {
+			t.Fatalf("batch %d: Position %d after SkipTo(%d)", size, pos, seek)
+		}
+		fresh := NewPackedSource(p)
+		if err := fresh.SkipTo(uint64(seek)); err != nil {
+			t.Fatal(err)
+		}
+		read(fresh, size, seek, len(recs))
+		read(src, size, seek, len(recs))
+		var b Batch
+		b.Resize(size)
+		if k, err := src.NextBatch(&b); k != 0 || err != io.EOF {
+			t.Fatalf("batch %d: read past the end gave %d records, %v", size, k, err)
+		}
+	}
+}
