@@ -8,6 +8,7 @@ package heteromem
 import (
 	"context"
 	"io"
+	"math/rand"
 	"testing"
 
 	"heteromem/internal/addr"
@@ -453,11 +454,13 @@ func BenchmarkDRAMService(b *testing.B) {
 // steady state too. The advance leg advances the clock before each Submit,
 // as Controller.Access does, and queues a job the size of a 4 KiB
 // off-package copy leg (1,237 cycles) every 32nd iteration, so channels
-// sit idle with a copy in flight between their requests.
+// sit idle with a copy in flight between their requests. The backlog leg
+// queues requests behind each other (see benchBacklog).
 func BenchmarkSchedulerThroughput(b *testing.B) {
 	b.Run("requests", func(b *testing.B) { benchScheduler(b, 0, 0, false) })
 	b.Run("with-bulk", func(b *testing.B) { benchScheduler(b, 8, 64, false) })
 	b.Run("advance", func(b *testing.B) { benchScheduler(b, 32, 1237, true) })
+	b.Run("backlog", benchBacklog)
 }
 
 // benchScheduler drives a 4-channel off-package scheduler; bulkEvery > 0
@@ -509,6 +512,45 @@ func benchScheduler(b *testing.B, bulkEvery int, jobCycles int64, advance bool) 
 			j.Duration, j.Earliest = jobCycles, now
 			s.SubmitBulk(i/bulkEvery%4, j, now)
 		}
+	}
+	s.Flush()
+}
+
+// benchBacklog drives one off-package channel with bursts of 64 requests to
+// random rows. A burst is submitted at one clock and arrives 600 cycles
+// later; the clock then moves 7,680 cycles, a little more than the channel
+// needs to serve 64 random rows. So the queue holds up to 64 requests (32
+// on average), and each decision scans it for the oldest row hit and
+// removes its pick: the FR-FCFS work that a request served at Submit never
+// reaches.
+func benchBacklog(b *testing.B) {
+	dev, _ := dram.New(dram.Geometry{
+		Channels: 1, BanksPerCh: 8, RowBytes: 8192, BurstBytes: 64,
+	}, iconfig.OffPackageTiming())
+	var free []*sched.Request
+	s, err := sched.New(dev, sched.Config{}, func(r *sched.Request) {
+		free = append(free, r)
+	}, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		now := int64(i/64) * 7680
+		var r *sched.Request
+		if n := len(free); n > 0 {
+			r, free = free[n-1], free[:n-1]
+			*r = sched.Request{}
+		} else {
+			r = new(sched.Request)
+		}
+		r.ID = uint64(i)
+		r.Arrive = now + 600
+		r.Addr = uint64(rng.Int63n(1<<30)) &^ 63
+		s.Advance(now)
+		s.Submit(r, now)
 	}
 	s.Flush()
 }
@@ -620,7 +662,10 @@ func BenchmarkPackedEncode(b *testing.B) {
 
 // BenchmarkPackedDecode measures the chunk decoder alone: b.N records
 // streamed out of a packed trace through NextBatch into a reused batch.
-// This is the per-record cost every sweep cell pays to replay a trace.
+// This is the per-record cost every sweep cell pays to replay a trace. The
+// chunk leg reads chunk-sized batches, as the run loop does, so each chunk
+// decodes straight into the batch; the batch1000 leg reads 1,000 records
+// at a time, which go through the source's buffer and are copied.
 func BenchmarkPackedDecode(b *testing.B) {
 	gen, err := workload.NewMemory("SPEC2006", 1)
 	if err != nil {
@@ -631,9 +676,14 @@ func BenchmarkPackedDecode(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.Run("chunk", func(b *testing.B) { benchPackedDecode(b, p, trace.PackedChunkRecords) })
+	b.Run("batch1000", func(b *testing.B) { benchPackedDecode(b, p, 1000) })
+}
+
+func benchPackedDecode(b *testing.B, p *trace.Packed, size int) {
 	src := trace.NewPackedSource(p)
 	var batch trace.Batch
-	batch.Resize(trace.PackedChunkRecords)
+	batch.Resize(size)
 	b.ResetTimer()
 	for n := 0; n < b.N; {
 		k, err := src.NextBatch(&batch)
