@@ -63,13 +63,14 @@ fuzz-regression:
 # Active fuzzing (not part of ci; run locally when touching the parsers).
 # It asks every package for its fuzz targets and fuzzes each in turn (go
 # test -fuzz takes one target per run), so a new one is never left out.
+# -run limits the tests run before fuzzing to the target's own seed corpus.
 FUZZTIME ?= 30s
 fuzz:
 	@set -ef; pkgs=$$($(GO) list ./...); for pkg in $$pkgs; do \
 		names=$$($(GO) test -list '^Fuzz' $$pkg); \
 		for name in $$names; do case $$name in Fuzz*) \
-			echo "$(GO) test $$pkg -fuzz '^$$name\$$' -fuzztime $(FUZZTIME)"; \
-			$(GO) test $$pkg -fuzz "^$$name\$$" -fuzztime $(FUZZTIME);; \
+			echo "$(GO) test $$pkg -run '^$$name\$$' -fuzz '^$$name\$$' -fuzztime $(FUZZTIME)"; \
+			$(GO) test $$pkg -run "^$$name\$$" -fuzz "^$$name\$$" -fuzztime $(FUZZTIME);; \
 		esac; done; \
 	done
 
